@@ -191,8 +191,10 @@ def catalog_validate(ctx):
 @click.option("--pure", is_flag=True, default=False,
               help="Keep only pure-angle configurations.")
 @click.option("--bound", type=int, default=None,
-              help="Cross-term entry bound (enables the brute-force "
-                   "search; without it both blocks must have rank 1).")
+              help="Cross-term entry bound. Enables the bounded search: "
+                   "an integer eigen-angle screen over every cross block "
+                   "with entries in [-bound, bound], built row by row with "
+                   "--pure. Without it both blocks must have rank 1.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table")
 @click.pass_context
@@ -233,6 +235,23 @@ def match(ctx, plus_id, minus_id, theta, pure, bound, fmt):
         _emit_table([_candidate_row(c) for c in candidates])
 
 
+def _check_config_fields(doc):
+    """Exit with a validation error naming the first absent or mistyped field."""
+    if not isinstance(doc, dict):
+        _fail(EXIT_VALIDATION, "bad config document: expected a JSON object, "
+                               f"got {type(doc).__name__}")
+    fields = {"plus": str, "minus": str, "theta": str}
+    grams = (["pushout"] if "pushout" in doc
+             else ["base_gram", "plus_basis", "minus_basis"])
+    fields.update(dict.fromkeys(grams, list))
+    for name, kind in fields.items():
+        if name not in doc:
+            _fail(EXIT_VALIDATION, f"config document lacks field {name!r}")
+        if not isinstance(doc[name], kind):
+            label = "a string" if kind is str else "an array"
+            _fail(EXIT_VALIDATION, f"config field {name!r} must be {label}")
+
+
 @main.command()
 @click.option("--config", "config_path", required=True,
               type=click.Path(), help="Configuration document (JSON).")
@@ -254,6 +273,7 @@ def invariants(ctx, config_path, fmt):
         _fail(EXIT_IO, f"config not found: {config_path}")
     except json.JSONDecodeError as exc:
         _fail(EXIT_VALIDATION, f"bad config document: {exc}")
+    _check_config_fields(doc)
     try:
         plus = cat.get(doc["plus"])
         minus = cat.get(doc["minus"])

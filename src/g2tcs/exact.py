@@ -7,7 +7,8 @@ the rest of the package:
   exact Gaussian elimination (inverse, determinant, nullspace, rank) and a
   Faddeev–LeVerrier characteristic polynomial.
 * Integer matrix normal forms — Smith normal form with unimodular transforms
-  ``D = P A Q`` and a canonical Hermite row basis for integer row lattices.
+  ``D = P A Q``, a canonical Hermite row basis for integer row lattices and
+  a fraction-free (Bareiss) determinant.
 * Lattice utilities — intersections of integer row lattices and bases for
   lattices spanned by rational vectors.
 * Polynomial helpers — exact rational-root extraction and a splitter for
@@ -255,6 +256,33 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def int_det(A: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix (1 for the empty matrix).
+
+    Fraction-free Bareiss elimination: every division is exact and every
+    stored entry is a minor of the matrix, so no rationals are formed.
+    """
+    m = [list(row) for row in A]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row, lead = m[i], m[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
 
 def smith_normal_form(A: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -18,6 +18,7 @@ All computations are exact (integers and ``Fraction``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,6 +34,16 @@ from .exact import (
 )
 
 IntMatrix = List[List[int]]
+
+
+def _gram_entry(x) -> int:
+    """One Gram entry as an int; anything but an integral number is refused."""
+    if type(x) is int:
+        return x
+    if (isinstance(x, bool) or not isinstance(x, numbers.Rational)
+            or x.denominator != 1):
+        raise ValueError(f"Gram entry {x!r} is not an integer")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -51,7 +62,15 @@ class GramLattice:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], basis=None) -> "GramLattice":
-        g = tuple(tuple(int(x) for x in row) for row in rows)
+        """Gram lattice from integer rows.
+
+        Entries must be integers or integral rationals; floats, strings and
+        booleans are rejected rather than truncated or coerced.
+        """
+        try:
+            g = tuple(tuple(_gram_entry(x) for x in row) for row in rows)
+        except TypeError:
+            raise ValueError("Gram matrix must be a list of rows") from None
         if any(len(row) != len(g) for row in g):
             raise ValueError("Gram matrix must be square")
         for i in range(len(g)):

@@ -1,8 +1,10 @@
 """Enumeration drivers that discover admissible matchings over the catalog.
 
 Two closed-form searches cover rank-1 x rank-1 gluings (where the cross
-term is determined up to sign by the generator squares), and a brute-force
-driver enumerates bounded integer cross-blocks for higher ranks.
+term is determined up to sign by the generator squares).  For higher ranks
+a bounded search screens integer cross-blocks with an exact integer test
+(no rational matrix products) and, for pure angles, builds the blocks row
+by row so that only rows meeting the screen's equations are ever combined.
 """
 
 from dataclasses import dataclass
@@ -17,13 +19,12 @@ from .configuration import (
     ConfigurationError,
     d_theta,
     feasibility_cone_check,
-    is_pure_angle,
     make_configuration,
     parse_theta,
     rank1_pushout,
     validate_configuration,
 )
-from .exact import RationalMatrix
+from .exact import int_det
 from .invariants import InvariantReport, UnsupportedAngle, full_report
 
 __all__ = [
@@ -150,25 +151,118 @@ def _canonical_gram(rows: Sequence[Sequence[int]], rho_plus: int,
     return best
 
 
-def _cross_blocks(rho_plus: int, rho_minus: int,
-                  bound: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    cells = rho_plus * rho_minus
-    values = range(-bound, bound + 1)
-    for flat in product(values, repeat=cells):
-        yield tuple(flat[i * rho_minus:(i + 1) * rho_minus]
-                    for i in range(rho_plus))
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+class _CrossScreen:
+    """The eigen-angle screen of ``cross_term_search``, in integers.
+
+    With d = det(G-), A = adj(G-) = d G-^{-1} and cos^2(theta) = num/den,
+    the composition m+ = G+^{-1} C G-^{-1} C^T of a cross block C satisfies
+
+        den d G+ (m+ - cos^2 I) = den C A C^T - num d G+ =: D(C).
+
+    So theta is an eigen-angle (det(m+ - cos^2 I) = 0) exactly when the
+    integer matrix D(C) is singular, and the angle is pure (m+ = cos^2 I)
+    exactly when D(C) = 0.  Entry (i, j) of D(C) depends only on rows i and
+    j of C, which lets the pure screen run row by row.
+    """
+
+    def __init__(self, plus_gram: Sequence[Sequence[int]],
+                 minus_gram: Sequence[Sequence[int]], cos2: Fraction):
+        d = int_det(minus_gram)
+        if d == 0 or int_det(plus_gram) == 0:
+            raise ValueError("cross-term search needs nondegenerate blocks")
+        n = len(minus_gram)
+        # den * adj(G-); symmetric because G- is.
+        self._adj = [[cos2.denominator * (-1) ** (i + j) * int_det(
+            [row[:i] + row[i + 1:] for k, row in enumerate(minus_gram)
+             if k != j]) for j in range(n)] for i in range(n)]
+        self._target = [[cos2.numerator * d * x for x in row]
+                        for row in plus_gram]
+
+    def _scaled(self, row: Sequence[int]) -> Tuple[int, ...]:
+        """den * row * adj(G-) (the rows of adj(G-) are its columns)."""
+        return tuple(_dot(row, adj_row) for adj_row in self._adj)
+
+    def _deviation(self, scaled: Sequence[Sequence[int]],
+                   cross: Sequence[Sequence[int]]) -> List[List[int]]:
+        """D(C) from the rows of C and their scaled images."""
+        return [[_dot(scaled[i], cross[j]) - t
+                 for j, t in enumerate(target_row)]
+                for i, target_row in enumerate(self._target)]
+
+    def is_pure(self, cross: Sequence[Sequence[int]]) -> bool:
+        """m+ = cos^2(theta) I for this cross block."""
+        deviation = self._deviation([self._scaled(r) for r in cross], cross)
+        return not any(any(row) for row in deviation)
+
+    def is_singular(self, cross: Sequence[Sequence[int]]) -> bool:
+        """cos^2(theta) is an eigenvalue of m+ for this cross block."""
+        deviation = self._deviation([self._scaled(r) for r in cross], cross)
+        return int_det(deviation) == 0
+
+    def blocks(self, bound: int, pure: bool
+               ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+        """Cross blocks with entries in [-bound, bound] that pass the screen.
+
+        Blocks come in the row-major lexicographic order of the full box.
+        The pure screen keeps, for each row i, only the candidate rows
+        meeting the diagonal equation D(C)_ii = 0 and backtracks on the
+        off-diagonal ones; the singular screen walks the whole box.  The
+        box's rows are streamed rather than stored, so memory does not grow
+        with the bound.
+        """
+        target = self._target
+        values = range(-bound, bound + 1)
+
+        def candidates():
+            for row in product(values, repeat=len(self._adj)):
+                yield row, self._scaled(row)
+
+        if pure:
+            kept = [[] for _ in target]
+            for row, scaled in candidates():
+                norm = _dot(scaled, row)
+                for i, rows in enumerate(kept):
+                    if norm == target[i][i]:
+                        rows.append((row, scaled))
+
+        def extend(chosen: List[Tuple[Tuple[int, ...], Tuple[int, ...]]]):
+            i = len(chosen)
+            if i == len(target):
+                cross = tuple(row for row, _ in chosen)
+                if pure or int_det(self._deviation(
+                        [prev for _, prev in chosen], cross)) == 0:
+                    yield cross
+                return
+            for row, scaled in (kept[i] if pure else candidates()):
+                if pure and any(_dot(prev, row) != target[j][i]
+                                for j, (_, prev) in enumerate(chosen)):
+                    continue
+                chosen.append((row, scaled))
+                yield from extend(chosen)
+                chosen.pop()
+
+        return extend([])
 
 
 def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
                       bound: int, pure: bool = False) -> List[MatchCandidate]:
     """Enumerate pushouts with integer cross-blocks of bounded entries.
 
-    Every cross-block with entries in [-bound, bound] is screened: the
-    assembled pushout must pass structural validation, the gluing angle
-    must occur in the configuration's angle spectrum (or the configuration
-    must have pure angle when the flag is set), and the ample-cone
-    compatibility system must be feasible. Equal Grams that differ only by
-    basis permutations preserving both ample cones are deduplicated.
+    Cross-blocks C with entries in [-bound, bound] are first screened in
+    integers (see ``_CrossScreen``): cos^2(theta) must be an eigenvalue of
+    G+^{-1} C G-^{-1} C^T, or its only eigenvalue when ``pure`` is set.
+    The pure screen is a row-by-row enumeration that never visits most of
+    the box; the general screen tests every block with one integer
+    determinant.  Each surviving pushout must then pass structural
+    validation, have the angle in its spectrum with multiplicity
+    d_theta >= 1 (general case) and a feasible ample-cone compatibility
+    system.  Equal Grams that differ only by basis permutations preserving
+    both ample cones are deduplicated.  Hits come in the row-major
+    lexicographic order of the cross-block entries.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -181,27 +275,13 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
         sign = "-" if f < 0 else ""
         theta_text = f"{sign}{abs(f).numerator}/{abs(f).denominator}pi"
     theta_frac, _ = parse_theta(theta_text)
-    cos2 = COS_SQUARED[theta_frac]
+    screen = _CrossScreen(plus.N.gram, minus.N.gram, COS_SQUARED[theta_frac])
     rp, rm = plus.rank, minus.rank
-    gp = RationalMatrix(plus.N.gram)
-    gm = RationalMatrix(minus.N.gram)
-    gp_inv = gp.inverse()
-    gm_inv = gm.inverse()
     perms_plus = _gram_permutations(plus.N.gram)
     perms_minus = _gram_permutations(minus.N.gram)
-    target = RationalMatrix.identity(rp).scaled(cos2)
     seen = set()
     out: List[MatchCandidate] = []
-    for cross in _cross_blocks(rp, rm, bound):
-        C = RationalMatrix(cross)
-        m_plus = gp_inv * C * gm_inv * C.transpose()
-        # Cheap screen: theta must be an eigen-angle of the composition.
-        if pure:
-            if m_plus != target:
-                continue
-        else:
-            if (m_plus - target).det() != 0:
-                continue
+    for cross in screen.blocks(bound, pure):
         rows = [list(plus.N.gram[i]) + list(cross[i]) for i in range(rp)]
         rows += [[cross[i][j] for i in range(rp)] + list(minus.N.gram[j])
                  for j in range(rm)]

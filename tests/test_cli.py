@@ -83,6 +83,15 @@ def test_match_cross_term(runner):
     assert sorted(m["report"]["d_free"] for m in doc) == [2, 2, 8]
 
 
+def test_match_pure_3x3(runner):
+    result = invoke(runner, "match", "--plus", "5.15_3", "--minus", "3.10",
+                    "--theta", "1/4pi", "--bound", "2", "--pure",
+                    "--format", "json")
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc and all(m["report"]["pure"] for m in doc)
+
+
 def test_match_rank2_requires_bound(runner):
     result = invoke(runner, "match", "--plus", "3.28", "--minus", "3.28",
                     "--theta", "1/6pi")
@@ -134,6 +143,36 @@ def test_invariants_invalid_config(runner, tmp_path):
         "pushout": [[4, 3, 1], [3, 8, 4], [1, 4, 0]]})
     result = invoke(runner, "invariants", "--config", path)
     assert result.exit_code == 4
+
+
+@pytest.mark.parametrize("bad", [3.7, 3.0, "3", True])
+def test_invariants_rejects_non_integer_entries(runner, tmp_path, bad):
+    # With 3.7 truncated to 3 this would be the valid 8.11 pushout.
+    path = _write_config(tmp_path, {
+        "plus": "3.22_3", "minus": "3.23_6", "theta": "1/4pi",
+        "pushout": [[6, bad, 3], [3, 2, 4], [3, 4, 2]]})
+    result = invoke(runner, "invariants", "--config", path)
+    assert result.exit_code == 4
+    assert "not an integer" in result.stderr
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"plus": "3.22_3", "minus": "3.23_6",
+      "pushout": [[6, 3, 3], [3, 2, 4], [3, 4, 2]]}, "'theta'"),
+    ({"minus": "3.23_6", "theta": "1/4pi",
+      "pushout": [[6, 3, 3], [3, 2, 4], [3, 4, 2]]}, "'plus'"),
+    ({"plus": "3.22_3", "minus": "3.23_6", "theta": "1/4pi"}, "'base_gram'"),
+    ({"plus": "3.22_3", "minus": "3.23_6", "theta": "1/4pi",
+      "pushout": 6}, "'pushout'"),
+    ({"plus": ["3.22_3"], "minus": "3.23_6", "theta": "1/4pi",
+      "pushout": [[6, 3, 3], [3, 2, 4], [3, 4, 2]]}, "'plus'"),
+    ([["3.22_3", "3.23_6"]], "JSON object"),
+])
+def test_invariants_malformed_document(runner, tmp_path, doc, field):
+    path = _write_config(tmp_path, doc)
+    result = invoke(runner, "invariants", "--config", path)
+    assert result.exit_code == 4
+    assert field in result.stderr
 
 
 def test_invariants_missing_file(runner):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2tcs.exact import (RationalMatrix, hermite_row_basis, integer_kernel,
-                         lattice_intersection, palindromic_quadratic_split,
-                         poly_eval, rational_roots, smith_normal_form,
+from g2tcs.exact import (RationalMatrix, hermite_row_basis, int_det,
+                         integer_kernel, lattice_intersection,
+                         palindromic_quadratic_split, poly_eval,
+                         rational_roots, smith_normal_form,
                          solve_integer_columns, sturm_count_roots, xgcd)
 
 ints = st.integers(min_value=-9, max_value=9)
@@ -55,6 +56,20 @@ def test_nullspace_vectors_annihilate(rows):
 
 
 # ------------------------------------------------------------ integer forms
+
+@given(st.integers(0, 4).flatmap(square_matrix))
+@settings(max_examples=80, deadline=None)
+def test_int_det_matches_rational_det(rows):
+    expected = RationalMatrix(rows).det() if rows else 1
+    assert int_det(rows) == expected
+
+
+def test_int_det_pivots_past_zero():
+    assert int_det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (1 * 4 - 2 * 3)
+    assert int_det([[0, 1], [0, 2]]) == 0
+    with pytest.raises(ValueError):
+        int_det([[1, 2]])
+
 
 @given(any_matrix)
 @settings(max_examples=80, deadline=None)

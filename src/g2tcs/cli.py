@@ -250,6 +250,17 @@ def _check_config_fields(doc):
         if not isinstance(doc[name], kind):
             label = "a string" if kind is str else "an array"
             _fail(EXIT_VALIDATION, f"config field {name!r} must be {label}")
+    if "pushout" in doc:
+        return
+    # Glue rows are read with Fraction: only ints and "p/q" strings are
+    # exact (a float would be taken as a binary fraction).
+    for name in grams:
+        if any(not isinstance(row, list)
+               or any(isinstance(x, bool) or not isinstance(x, (int, str))
+                      for x in row)
+               for row in doc[name]):
+            _fail(EXIT_VALIDATION, f"config field {name!r} must be an array "
+                                   "of rows of integers or \"p/q\" strings")
 
 
 @main.command()
@@ -350,7 +361,7 @@ def reproduce(ctx, target, fmt):
             label = f"{example} {plus_id} x {minus_id}"
             cfg = make_configuration(
                 cat.get(plus_id), cat.get(minus_id), theta,
-                [list(r) for r in table5_pushout(row)])
+                [list(r) for r in table5_pushout(row, cat)])
             report = full_report(cfg)
             problem = _check_row(report, b3, d, tf, link)
             if problem is None and report.nu_bar != nb:

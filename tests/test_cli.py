@@ -175,6 +175,44 @@ def test_invariants_malformed_document(runner, tmp_path, doc, field):
     assert field in result.stderr
 
 
+GLUE_DOC = {
+    "plus": "3.23_8", "minus": "3.11", "theta": "1/4pi",
+    "base_gram": [[196, 0, 98], [0, -98, 0], [98, 0, 98]],
+    "plus_basis": [["9/49", "8/49", "0"], ["5/49", "-1/49", "0"]],
+    "minus_basis": [["0", "-1/14", "3/14"], ["0", "3/14", "5/14"]]}
+
+
+@pytest.mark.parametrize("field,row", [
+    ("plus_basis", [["9/49"], "8/49", "0"]),
+    ("plus_basis", [{"n": 9}, "8/49", "0"]),
+    ("minus_basis", ["0", ["-1/14"], "3/14"]),
+    ("minus_basis", "0"),
+    ("base_gram", [196.0, 0, 98]),
+    ("base_gram", [196, None, 98]),
+    ("base_gram", [196, True, 98]),
+    ("plus_basis", [0.5, "8/49", "0"]),
+])
+def test_invariants_rejects_malformed_glue_entries(runner, tmp_path, field,
+                                                    row):
+    doc = json.loads(json.dumps(GLUE_DOC))
+    doc[field][0] = row
+    path = _write_config(tmp_path, doc)
+    result = invoke(runner, "invariants", "--config", path)
+    assert result.exit_code == 4
+    assert repr(field) in result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_invariants_glue_entries_may_be_integers(runner, tmp_path):
+    doc = json.loads(json.dumps(GLUE_DOC))
+    doc["plus_basis"][0][2] = 0
+    path = _write_config(tmp_path, doc)
+    result = invoke(runner, "invariants", "--config", path,
+                    "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["b3"] == 49
+
+
 def test_invariants_missing_file(runner):
     result = invoke(runner, "invariants", "--config", "/nonexistent.json")
     assert result.exit_code == 2
@@ -188,3 +226,39 @@ def test_reproduce_targets(runner, target, needle):
     result = invoke(runner, "reproduce", target)
     assert result.exit_code == 0, result.output
     assert needle in result.output
+
+
+def test_reproduce_table5_reads_only_the_given_catalog(runner, tmp_path,
+                                                       monkeypatch):
+    import g2tcs.catalog
+    from g2tcs.catalog import default_catalog_path
+    path = tmp_path / "catalog.json"
+    with open(default_catalog_path()) as fh:
+        path.write_text(fh.read())
+
+    def refuse(*_args, **_kw):
+        raise AssertionError("the default catalog was loaded")
+    # table5_pushout imports load_catalog from g2tcs.catalog when it needs
+    # a catalog; the CLI loads --catalog through its own binding.
+    monkeypatch.setattr(g2tcs.catalog, "load_catalog", refuse)
+    result = invoke(runner, "--catalog", str(path), "reproduce", "table5",
+                    "--format", "json")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["ok"]
+
+
+def test_table5_pushout_uses_the_catalog_passed_in(catalog):
+    from g2tcs.fixtures import TABLE5, table5_pushout
+
+    class Recording:
+        def __init__(self):
+            self.read = []
+
+        def get(self, block_id):
+            self.read.append(block_id)
+            return catalog.get(block_id)
+
+    row = next(r for r in TABLE5 if r[2:4] == ("3.22_4", "3.22_3"))
+    cat = Recording()
+    assert table5_pushout(row, cat) == table5_pushout(row)
+    assert cat.read == ["3.22_4", "3.22_3"]

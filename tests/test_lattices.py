@@ -70,41 +70,40 @@ def test_radical_trivial_for_nondegenerate():
 
 # ----------------------------------------------------------------- cokernel
 
+def _laplace_det(A):
+    if not A:
+        return 1
+    return sum((-1) ** j * A[0][j] * _laplace_det([row[:j] + row[j + 1:]
+                                                   for row in A[1:]])
+               for j in range(len(A)))
+
+
+def _adjugate(A):
+    """adj(A) by cofactors, so that adj(A)·A = det(A)·I."""
+    n = len(A)
+    return [[(-1) ** (i + j) * _laplace_det(
+                [row[:i] + row[i + 1:] for k, row in enumerate(A) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
 def brute_force_order_counts(A, dets, max_k=8):
-    """Number of cokernel classes killed by k, counted by coset enumeration."""
+    """Number of cokernel classes killed by k, counted by coset enumeration.
+
+    Every class has a representative t in the box [0, |det A|)^m, since
+    |det A|·Z^m lies in the image A·Z^m. t lies in the image exactly when
+    adj(A)·t = det(A)·A^-1·t is 0 mod |det A|, so adj(A)·t mod |det A|
+    keys the class of t.
+    """
     m = len(A)
-    M = RationalMatrix(A)
-    counts = {}
     span = abs(dets)
-    # enumerate representatives in the fundamental box of the image lattice
-    reps = []
+    adj = _adjugate(A)
     from itertools import product as iproduct
-    for t in iproduct(range(span), repeat=m):
-        sol = M.solve(list(t))
-        reps.append(t)
-    # classes: t1 ~ t2 iff t1 - t2 in image (integral solution)
-    classes = []
-    for t in reps:
-        placed = False
-        for c in classes:
-            d = [a - b for a, b in zip(t, c[0])]
-            sol = M.solve(d)
-            if sol is not None and all(x.denominator == 1 for x in sol):
-                c.append(t)
-                placed = True
-                break
-        if not placed:
-            classes.append([t])
-    for k in range(1, max_k + 1):
-        n = 0
-        for c in classes:
-            t = c[0]
-            kt = [k * x for x in t]
-            sol = M.solve(kt)
-            if sol is not None and all(x.denominator == 1 for x in sol):
-                n += 1
-        counts[k] = n
-    return len(classes), counts
+    keys = {tuple(sum(a * x for a, x in zip(row, t)) % span for row in adj)
+            for t in iproduct(range(span), repeat=m)}
+    counts = {k: sum(1 for key in keys if all(k * c % span == 0
+                                              for c in key))
+              for k in range(1, max_k + 1)}
+    return len(keys), counts
 
 
 def test_cokernel_against_brute_force():

@@ -12,13 +12,12 @@ import click
 
 from .catalog import CatalogError, load_catalog, verify_catalog
 from .configuration import (ConfigurationError, make_configuration,
-                            pushout_from_glue, rank1_pushout,
-                            validate_configuration)
+                            pushout_from_glue, validate_configuration)
 from .fixtures import EXAMPLES, TABLE4, TABLE5, table5_pushout
 from .invariants import (InvariantReport, UnsupportedAngle, full_report,
                          linking_forms_equivalent)
-from .search import (MatchCandidate, cross_term_search, rank1_candidate_count,
-                     rank1_pi4_search, rank1_pi6_search)
+from .search import (MatchCandidate, cross_term_search, rank1_candidate,
+                     rank1_candidate_count, rank1_pi4_search)
 
 EXIT_MISMATCH = 1
 EXIT_IO = 2
@@ -214,19 +213,8 @@ def match(ctx, plus_id, minus_id, theta, pure, bound, fmt):
             if plus.rank != 1 or minus.rank != 1:
                 _fail(EXIT_VALIDATION,
                       "blocks of rank > 1 need an explicit --bound")
-            push = rank1_pushout(plus.N.gram[0][0], minus.N.gram[0][0],
-                                 theta)
-            candidates = []
-            if push is not None:
-                cfg = make_configuration(plus, minus, theta,
-                                         [list(r) for r in push.gram])
-                decomposition = ((push.m, push.q_plus, push.q_minus)
-                                 if push.m is not None else None)
-                report = full_report(cfg)
-                candidates = [MatchCandidate(
-                    plus_id=plus.id, minus_id=minus.id,
-                    theta=report.theta, pushout=push.gram,
-                    rank1_decomposition=decomposition, report=report)]
+            cand = rank1_candidate(plus, minus, theta)
+            candidates = [] if cand is None else [cand]
     except (ConfigurationError, UnsupportedAngle, ValueError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     if fmt == "json":
@@ -319,10 +307,9 @@ def _check_row(report, b3, d, torsion_factors, linking):
     got = (report.b3, report.d_free, _torsion_factors(report))
     if got != (b3, d, torsion_factors):
         return f"got b3={got[0]} d={got[1]} torsion={got[2]}"
-    if torsion_factors and max(torsion_factors) > 2:
-        if not linking_forms_equivalent(torsion_factors, linking,
-                                        report.linking):
-            return f"linking {report.linking} != expected {linking}"
+    if torsion_factors and not linking_forms_equivalent(
+            torsion_factors, linking, report.linking):
+        return f"linking {report.linking} != expected {linking}"
     return None
 
 

@@ -12,8 +12,9 @@ through the rational values cos^2(theta) and cos(2 psi).
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -22,13 +23,12 @@ from .catalog import BuildingBlock
 from .exact import (
     RationalMatrix,
     integer_kernel,
-    palindromic_quadratic_split,
+    rational_roots,
     sturm_count_roots,
 )
 from .lattices import (
     GramLattice,
     radical_and_quotient,
-    rational_eigenstructure,
     signature,
 )
 
@@ -130,11 +130,6 @@ class GluingAngle:
             return 1
         return 0 if self.theta == Fraction(1, 2) else -1
 
-    @property
-    def cos_double(self) -> Fraction:
-        """cos(2 theta) = 2 cos^2(theta) - 1 (rational for all angles)."""
-        return 2 * self.cos_squared - 1
-
     def describe(self) -> str:
         sign = "-" if self.orientation < 0 else ""
         return f"{sign}{self.theta.numerator}/{self.theta.denominator}pi"
@@ -201,13 +196,33 @@ def admissible_angle(kind_plus: str, kind_minus: str, family: str,
     return _PI1_TABLE.get((family, b_plus, b_minus, theta), "inadmissible")
 
 
+def per_configuration(fn):
+    """Compute ``fn(cfg, *args)`` once per configuration and arguments.
+
+    The value is kept on the configuration and handed to every later
+    caller, which must not modify it. A call that raises stores nothing.
+    """
+    @functools.wraps(fn)
+    def memoised(cfg, *args):
+        key = (fn,) + args
+        memo = cfg._memo
+        if key not in memo:
+            memo[key] = fn(cfg, *args)
+        return memo[key]
+    return memoised
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A gluing configuration: two blocks, an angle, a pushout Gram.
 
     The pushout is the (rho+ + rho-)-dimensional Gram matrix of the
     concatenated bases of N+ and N- inside the K3 lattice; it may be
-    degenerate when the two sublattices intersect.
+    degenerate when the two sublattices intersect. Its derived data (the
+    radical and quotient, the projections and side compositions, the
+    characteristic polynomial and eigenspaces of pi+ pi-, the boundary
+    presentation) are computed once, on first use, by the functions
+    marked ``per_configuration``.
     """
 
     plus: BuildingBlock
@@ -231,6 +246,17 @@ class Configuration:
             for i in range(rp)
         ])
 
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """Values of the ``per_configuration`` functions, by call."""
+        return {}
+
+    @per_configuration
+    def quotient(self) -> Tuple[List[List[int]], GramLattice]:
+        """The radical of the pushout and its nondegenerate quotient."""
+        return radical_and_quotient(self.pushout)
+
+    @per_configuration
     def projections(self) -> Tuple[RationalMatrix, RationalMatrix]:
         """(pi_plus, pi_minus): orthogonal projections between the sides.
 
@@ -242,6 +268,7 @@ class Configuration:
         Gm = self.minus.N.matrix()
         return Gp.inverse() * C, Gm.inverse() * C.transpose()
 
+    @per_configuration
     def side_compositions(self) -> Tuple[RationalMatrix, RationalMatrix]:
         """(pi+ o pi-, pi- o pi+) acting on N+ resp. N- coordinates."""
         pp, pm = self.projections()
@@ -317,9 +344,23 @@ class ValidationReport:
     flags: Tuple[str, ...]
 
 
-def _eigenvalues_in_unit_interval(M: RationalMatrix) -> bool:
-    """True when all real roots of charpoly(M) lie in [0, 1]."""
-    p = M.charpoly()
+@per_configuration
+def _plus_charpoly(cfg: Configuration) -> List[Fraction]:
+    """Characteristic polynomial of m+ = pi+ pi- on N+."""
+    return cfg.side_compositions()[0].charpoly()
+
+
+@per_configuration
+def _eigenspace(cfg: Configuration, side: int,
+                c: Fraction) -> List[List[Fraction]]:
+    """Basis of the c-eigenspace of pi+ pi- on N+ (side 0) or of
+    pi- pi+ on N- (side 1)."""
+    M = cfg.side_compositions()[side]
+    return (M - RationalMatrix.identity(M.nrows).scaled(c)).nullspace()
+
+
+def _eigenvalues_in_unit_interval(p: Sequence[Fraction]) -> bool:
+    """True when all real roots of the polynomial p lie in [0, 1]."""
     bound = 1 + max((abs(c) for c in p), default=Fraction(1))
     above = sturm_count_roots(p, Fraction(1), bound)
     # Sturm counts roots in (a, b]; drop an allowed root at exactly 0.
@@ -363,14 +404,13 @@ def validate_configuration(cfg: Configuration) -> ValidationReport:
     if not W.is_even():
         problems.append("pushout must be an even lattice")
     if not problems:
-        _radical, reduced = radical_and_quotient(W)
+        _radical, reduced = cfg.quotient()
         pos, neg, zero = signature(reduced)
         if (pos, neg) != (2, reduced.rank - 2) or zero:
             problems.append(
                 f"signature must be (2, rk-2); quotient has "
                 f"({pos}, {neg}, {zero})")
-        Mp, _Mm = cfg.side_compositions()
-        if not _eigenvalues_in_unit_interval(Mp):
+        if not _eigenvalues_in_unit_interval(_plus_charpoly(cfg)):
             problems.append("eigenvalues of pi+ pi- must lie in [0, 1]")
         if reduced.rank > 11:
             flags.append("rank > 11: primitive embedding into the K3 "
@@ -386,10 +426,8 @@ def angle_eigenspaces(cfg: Configuration, cos_squared: Fraction):
     and the plus-side dimension (the two agree for nonzero cos^2(psi)).
     """
     c = Fraction(cos_squared)
-    Mp, Mm = cfg.side_compositions()
-    plus = (Mp - RationalMatrix.identity(Mp.nrows).scaled(c)).nullspace()
-    minus = (Mm - RationalMatrix.identity(Mm.nrows).scaled(c)).nullspace()
-    return plus, minus, len(plus)
+    plus = _eigenspace(cfg, 0, c)
+    return plus, _eigenspace(cfg, 1, c), len(plus)
 
 
 def is_pure_angle(cfg: Configuration) -> bool:
@@ -412,8 +450,7 @@ def d_theta(cfg: Configuration) -> int:
         C = cfg.cross_block()
         return ((cfg.rho_plus - C.rank())
                 + (cfg.rho_minus - C.transpose().rank()))
-    plus, _minus, mult = angle_eigenspaces(cfg, cfg.angle.cos_squared)
-    return mult
+    return len(_eigenspace(cfg, 0, cfg.angle.cos_squared))
 
 
 # ------------------------------------------------------------------ angles
@@ -432,9 +469,6 @@ class AngleSpectrum:
 
     alpha_plus: Tuple[Tuple[Fraction, int], ...]
     alpha_minus: Tuple[Tuple[Fraction, int], ...]
-
-    def minus_cosines(self) -> List[Fraction]:
-        return [c for c, _s in self.alpha_minus]
 
 
 def _restricted_signature(G: RationalMatrix,
@@ -457,79 +491,81 @@ def _restricted_signature(G: RationalMatrix,
 def configuration_angles(cfg: Configuration) -> AngleSpectrum:
     """The 3 + 19 configuration angles of the composed reflections.
 
-    Works on the nondegenerate quotient of the pushout: the product of
-    the two reflections A± = 2 pi± - Id decomposes the space into
-    rational eigenspaces (angles 0 and pi) and invariant 2-planes
-    (conjugate angle pairs); each piece is assigned to the plus or minus
-    list by the sign of the form on it. The orthogonal complement of the
-    pushout in the K3 lattice contributes angle 0 with signature
-    (1, 21 - rk).
+    The product M = A+ A- of the reflections A± = 2 pi± - Id of the
+    nondegenerate pushout quotient is fixed by the principal angles
+    between N+ and N- (Jordan 1875; Halmos, "Two subspaces", 1969), that
+    is by the eigenvalues c of m+ = pi+ pi- = G+^-1 C G-^-1 C^T on N+,
+    which must be rational with eigenspaces E_c of full dimension:
+
+    - c = 0: E_c (with the kernel of m- = pi- pi+ on N-) is where
+      M = -Id, angle pi;
+    - c = 1: E_c is the intersection of N+ and N-, where M = Id, angle 0;
+    - 0 < c < 1: for x in E_c the plane span{x, pi- x} is M-invariant,
+      with trace 4c - 2 and determinant 1, so it carries a conjugate pair
+      with cos(alpha) = 2c - 1; its form <x, x> [[1, c], [c, c]] is
+      definite with the sign of <x, x>.
+
+    Each piece goes to the plus or minus list by the signature of G+ on
+    E_c (of G- on ker m-), which must be nondegenerate. Entries come as
+    pi, then 0, then the pairs by ascending cosine; the orthogonal
+    complement of the pushout in the K3 lattice contributes angle 0 with
+    signature (1, 21 - rk). Irrational angles, eigenvalues outside
+    [0, 1] and defective or degenerate eigenspaces raise ArithmeticError.
     """
-    _radical, reduced = radical_and_quotient(cfg.pushout)
-    r = reduced.rank
-    Ghat = reduced.matrix()
-    # Images of the N+/N- bases in quotient coordinates: express each
-    # standard basis vector in the (complement + radical) basis and keep
-    # the complement coordinates.
-    n = cfg.pushout.rank
-    comp = [list(row) for row in (reduced.basis or [])]
-    rad = _radical
-    full = RationalMatrix.from_columns([list(map(Fraction, v))
-                                        for v in comp + rad])
-    inv = full.inverse()
-    imgs = [inv.mul_vector([Fraction(int(i == j)) for i in range(n)])[:r]
-            for j in range(n)]
-    Bp = RationalMatrix.from_columns(imgs[:cfg.rho_plus])
-    Bm = RationalMatrix.from_columns(imgs[cfg.rho_plus:])
-
-    def reflection(B: RationalMatrix) -> RationalMatrix:
-        BtGB = B.transpose() * Ghat * B
-        P = B * BtGB.inverse() * B.transpose() * Ghat
-        return P.scaled(2) - RationalMatrix.identity(r)
-
-    M = reflection(Bp) * reflection(Bm)
-    roots, remainder = rational_eigenstructure(M)
-    alpha_plus: List[Tuple[Fraction, int]] = []
-    alpha_minus: List[Tuple[Fraction, int]] = []
+    roots, remainder = rational_roots(_plus_charpoly(cfg))
+    if len(remainder) > 1:
+        raise ArithmeticError("algebraic angles unsupported")
+    Gp = cfg.plus.N.matrix()
+    pp, pm = cfg.projections()
+    pi_pos = pi_neg = zero_pos = zero_neg = 0
+    pairs_plus: List[Tuple[Fraction, int]] = []
+    pairs_minus: List[Tuple[Fraction, int]] = []
     accounted = 0
-    for value, mult in roots:
-        if value not in (1, -1):
-            raise ArithmeticError(
-                "composed reflection has a rational eigenvalue other than "
-                "+-1; invariant violation")
-        I = RationalMatrix.identity(r)
-        space = (M - I.scaled(value)).nullspace()
+    for c, mult in sorted(roots):
+        if not 0 <= c <= 1:
+            raise ArithmeticError("composed reflection has a real "
+                                  "eigenvalue other than +-1")
+        space = _eigenspace(cfg, 0, c)
         if len(space) != mult:
             raise ArithmeticError("composed reflection is not semisimple")
-        pos, neg, zero = _restricted_signature(Ghat, space)
+        pos, neg, zero = _restricted_signature(Gp, space)
         if zero:
             raise ArithmeticError("degenerate eigenspace; invariant "
                                   "violation")
-        token = ANGLE_ZERO if value == 1 else ANGLE_PI
-        alpha_plus.extend([token] * pos)
-        alpha_minus.extend([token] * neg)
-        accounted += mult
-    # Quadratic factors x^2 - t x + 1 give conjugate pairs with cos = t/2.
-    if remainder and len(remainder) > 1:
-        factors, leftover = palindromic_quadratic_split(remainder)
-        if leftover and len(leftover) > 1:
-            raise ArithmeticError("algebraic angles unsupported")
-        for t, mult in factors:
-            cos_a = t / 2
-            I = RationalMatrix.identity(r)
-            plane = (M * M - M.scaled(t) + I).nullspace()
-            if len(plane) != 2 * mult:
+        if c == 0:
+            # M = -Id on E_0 only when E_0 is orthogonal to all of N-.
+            if any(any(pm.mul_vector(x)) for x in space):
                 raise ArithmeticError("composed reflection is not "
                                       "semisimple")
-            pos, neg, zero = _restricted_signature(Ghat, plane)
-            if zero or pos % 2 or neg % 2:
-                raise ArithmeticError("indefinite invariant 2-plane; "
-                                      "invariant violation")
-            alpha_plus.extend([(cos_a, 1), (cos_a, -1)] * (pos // 2))
-            alpha_minus.extend([(cos_a, 1), (cos_a, -1)] * (neg // 2))
+            pi_pos, pi_neg = pos, neg
+            accounted += mult
+        elif c == 1:
+            zero_pos, zero_neg = pos, neg
+            accounted += mult
+        else:
+            cos_a = 2 * c - 1
+            pairs_plus.extend([(cos_a, 1), (cos_a, -1)] * pos)
+            pairs_minus.extend([(cos_a, 1), (cos_a, -1)] * neg)
             accounted += 2 * mult
-    if accounted != r:
+    minus_kernel = _eigenspace(cfg, 1, Fraction(0))
+    if any(any(pp.mul_vector(y)) for y in minus_kernel):
+        raise ArithmeticError("composed reflection is not semisimple")
+    pos, neg, zero = _restricted_signature(cfg.minus.N.matrix(),
+                                           minus_kernel)
+    if zero:
+        raise ArithmeticError("degenerate eigenspace; invariant violation")
+    pi_pos += pos
+    pi_neg += neg
+    accounted += len(minus_kernel)
+    # Cross-check with the radical: the pieces fill the quotient, of rank
+    # r = rho+ + rho- - dim(N+ meet N-).
+    _radical, reduced = cfg.quotient()
+    if accounted != reduced.rank:
         raise ArithmeticError("eigenstructure does not fill the space")
+    alpha_plus = ([ANGLE_PI] * pi_pos + [ANGLE_ZERO] * zero_pos
+                  + pairs_plus)
+    alpha_minus = ([ANGLE_PI] * pi_neg + [ANGLE_ZERO] * zero_neg
+                   + pairs_minus)
     # Complement of the pushout in the K3 lattice: identity, angle 0,
     # signature (3 - 2, 19 - (r - 2)) = (1, 21 - r).
     alpha_plus.extend([ANGLE_ZERO] * (3 - len(alpha_plus)))
@@ -656,7 +692,7 @@ def feasibility_cone_check(cfg: Configuration):
         # Orthogonal gluing: the two ample cones impose no joint
         # condition; any ample class works on each side.
         return True, [Fraction(1)] * cfg.rho_plus
-    plus, _minus, _m = angle_eigenspaces(cfg, cfg.angle.cos_squared)
+    plus = _eigenspace(cfg, 0, cfg.angle.cos_squared)
     if not plus:
         return False, None
     eps = cfg.angle.epsilon

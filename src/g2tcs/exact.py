@@ -7,10 +7,9 @@ the rest of the package:
   exact Gaussian elimination (inverse, determinant, nullspace, rank) and a
   Faddeev–LeVerrier characteristic polynomial.
 * Integer matrix normal forms — Smith normal form with unimodular transforms
-  ``D = P A Q``, a canonical Hermite row basis for integer row lattices and
+  ``D = P A Q`` (and ``P^-1``), a canonical Hermite row basis for integer row lattices and
   a fraction-free (Bareiss) determinant.
-* Lattice utilities — intersections of integer row lattices and bases for
-  lattices spanned by rational vectors.
+* Lattice utilities — intersections of integer row lattices.
 * Polynomial helpers — exact rational-root extraction and a splitter for
   palindromic products of factors ``x^2 - t x + 1`` (the shape produced by
   form-preserving involution products).
@@ -78,9 +77,6 @@ class RationalMatrix:
 
     def columns(self) -> List[FracVector]:
         return [self.column(j) for j in range(self.ncols)]
-
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix([row[:] for row in self.rows])
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
@@ -285,35 +281,48 @@ def int_det(A: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-def smith_normal_form(A: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(
+    A: IntMatrix,
+) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms: D = P A Q.
 
     Args:
         A: an m×n integer matrix.
 
     Returns:
-        Tuple (D, P, Q) where P (m×m) and Q (n×n) are unimodular and D is
-        diagonal with nonnegative entries d_1 | d_2 | ... .
+        Tuple (D, P, Q, Pinv) where P (m×m) and Q (n×n) are unimodular, D
+        is diagonal with nonnegative entries d_1 | d_2 | ... and Pinv is
+        the inverse of P, kept in step with it: each row operation on P is
+        undone on the columns of Pinv.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [row[:] for row in A]
     P = [[int(i == j) for j in range(m)] for i in range(m)]
     Q = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [[int(i == j) for j in range(m)] for i in range(m)]
 
-    def row_op(i, j, a, b, c, d):
-        # rows i,j <- (a*row_i + b*row_j, c*row_i + d*row_j); applied to D and P
-        for M in (D, P):
-            ri, rj = M[i], M[j]
-            M[i] = [a * x + b * y for x, y in zip(ri, rj)]
-            M[j] = [c * x + d * y for x, y in zip(ri, rj)]
-
-    def col_op(i, j, a, b, c, d):
-        for M in (D, Q):
+    def combine_columns(matrices, i, j, a, b, c, d):
+        # columns i,j <- (a*col_i + b*col_j, c*col_i + d*col_j)
+        for M in matrices:
             for row in M:
                 x, y = row[i], row[j]
                 row[i] = a * x + b * y
                 row[j] = c * x + d * y
+
+    def row_op(i, j, a, b, c, d):
+        # rows i,j <- (a*row_i + b*row_j, c*row_i + d*row_j); applied to D
+        # and P.  The 2x2 block E = [[a, b], [c, d]] has det e = +-1, so
+        # E^-1 = e [[d, -b], [-c, a]], and Pinv <- Pinv E^-1.
+        for M in (D, P):
+            ri, rj = M[i], M[j]
+            M[i] = [a * x + b * y for x, y in zip(ri, rj)]
+            M[j] = [c * x + d * y for x, y in zip(ri, rj)]
+        e = a * d - b * c
+        combine_columns((Pinv,), i, j, e * d, -e * c, -e * b, e * a)
+
+    def col_op(i, j, a, b, c, d):
+        combine_columns((D, Q), i, j, a, b, c, d)
 
     t = 0
     while t < min(m, n):
@@ -372,8 +381,10 @@ def smith_normal_form(A: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
         if D[t][t] < 0:
             for M in (D, P):
                 M[t] = [-x for x in M[t]]
+            for row in Pinv:
+                row[t] = -row[t]
         t += 1
-    return D, P, Q
+    return D, P, Q, Pinv
 
 
 def hermite_row_basis(rows: IntMatrix) -> IntMatrix:
@@ -427,7 +438,7 @@ def integer_kernel(A: IntMatrix) -> List[List[int]]:
     n = len(A[0]) if m else 0
     if m == 0:
         return [[int(i == j) for j in range(n)] for i in range(n)]
-    D, _P, Q = smith_normal_form(A)
+    D, _P, Q, _Pinv = smith_normal_form(A)
     r = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
     return [[Q[i][j] for i in range(n)] for j in range(r, n)]
 
@@ -436,7 +447,7 @@ def solve_integer_columns(A: IntMatrix, b: Sequence[int]) -> Optional[List[int]]
     """Integer solution x of A x = b (columns of A generate the image), or None."""
     m = len(A)
     n = len(A[0]) if m else 0
-    D, P, Q = smith_normal_form(A)
+    D, P, Q, _Pinv = smith_normal_form(A)
     Pb = [sum(P[i][k] * b[k] for k in range(m)) for i in range(m)]
     y = [0] * n
     for i in range(min(m, n)):
@@ -473,23 +484,6 @@ def lattice_intersection(rows_a: IntMatrix, rows_b: IntMatrix) -> IntMatrix:
         u = combo[: len(rows_a)]
         vecs.append([sum(u[i] * rows_a[i][c] for i in range(len(rows_a))) for c in range(n)])
     return hermite_row_basis(vecs)
-
-
-def rational_row_lattice_basis(rows: Sequence[Sequence]) -> List[FracVector]:
-    """Basis of the lattice generated by rational row vectors.
-
-    Scales by the common denominator, takes a Hermite basis, scales back.
-    """
-    frac_rows = _as_fraction_rows(rows)
-    if not frac_rows:
-        return []
-    denom = 1
-    for row in frac_rows:
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    int_rows = [[int(x * denom) for x in row] for row in frac_rows]
-    basis = hermite_row_basis(int_rows)
-    return [[Fraction(x, denom) for x in row] for row in basis]
 
 
 # ---------------------------------------------------------------------------

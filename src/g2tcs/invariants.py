@@ -21,18 +21,18 @@ from .configuration import (
     configuration_angles,
     d_theta,
     is_pure_angle,
+    per_configuration,
     validate_configuration,
 )
-from .exact import RationalMatrix, lattice_intersection
+from .exact import lattice_intersection
 from .lattices import (
-    DiscriminantForm,
+    CokernelPresentation,
     FiniteAbelianGroup,
     GramLattice,
     cokernel_presentation,
     discriminant_form,
     even_dual_kernel,
     quotient_by_2torsion,
-    radical_and_quotient,
     saturated_sum,
 )
 
@@ -67,7 +67,7 @@ def betti(cfg: Configuration) -> Tuple[int, int]:
         raise ValueError(
             f"Betti formula applies to simply connected gluings; this "
             f"configuration has pi1 class {cfg.pi1()!r}")
-    _radical, reduced = radical_and_quotient(cfg.pushout)
+    _radical, reduced = cfg.quotient()
     b2 = cfg.pushout.rank - reduced.rank
 
     def side_b3(block, b_flag: int) -> int:
@@ -166,6 +166,14 @@ def boundary_data(cfg: Configuration) -> BoundaryData:
     )
 
 
+@per_configuration
+def _boundary_cokernel(cfg: Configuration
+                       ) -> Tuple[BoundaryData, CokernelPresentation]:
+    """The boundary data and the presentation of its cokernel."""
+    bd = boundary_data(cfg)
+    return bd, cokernel_presentation([list(r) for r in bd.matrix])
+
+
 @dataclass(frozen=True)
 class TorsionReport:
     group: FiniteAbelianGroup
@@ -180,8 +188,7 @@ def torsion_report(cfg: Configuration) -> TorsionReport:
     minimal integer multiple of one back through the matrix and pairing
     the solution against the other.
     """
-    bd = boundary_data(cfg)
-    pres = cokernel_presentation([list(r) for r in bd.matrix])
+    bd, pres = _boundary_cokernel(cfg)
     gens = pres.generator_vectors()
     E = bd.domain_embedding
     n_dom = len(E)
@@ -231,9 +238,7 @@ def pure_angle_torsion(cfg: Configuration) -> PureTorsion:
     if not is_pure_angle(cfg):
         raise ValueError("pure-angle shortcut requires a pure angle")
     rp, rm = cfg.rho_plus, cfg.rho_minus
-    C = cfg.cross_block()
-    pi_plus = cfg.plus.N.matrix().inverse() * C
-    pi_minus = cfg.minus.N.matrix().inverse() * C.transpose()
+    pi_plus, pi_minus = cfg.projections()
     gens = [[Fraction(int(i == j)) for j in range(rp)] for i in range(rp)]
     for j in range(rm):
         gens.append([2 * pi_plus.rows[i][j] for i in range(rp)])
@@ -281,8 +286,7 @@ def p_divisor(cfg: Configuration) -> Tuple[int, int, bool]:
     agree, i.e. whether p(M) can be moved entirely into the free
     summand.
     """
-    bd = boundary_data(cfg)
-    pres = cokernel_presentation([list(r) for r in bd.matrix])
+    bd, pres = _boundary_cokernel(cfg)
     coords = pres.snf_coordinates(list(bd.p_class))
     free_vals = [coords[i] for i in pres.free_indices]
     d_free = gcd(24, *(abs(v) for v in free_vals)) if free_vals else 24

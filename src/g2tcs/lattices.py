@@ -9,9 +9,8 @@ the finite abelian groups they induce:
 * ``discriminant_form`` — the torsion group N*/N of a nondegenerate lattice
   together with its fractional pairing.
 * Structure operations used by the gluing pipeline: radical quotients, glue
-  overlattices, saturation of rational spans, the even "half-dual" kernel
-  sublattice and form-compatible projections onto the two halves of a block
-  Gram matrix.
+  overlattices, saturation of rational spans and the even "half-dual" kernel
+  sublattice.
 
 All computations are exact (integers and ``Fraction``).
 """
@@ -19,7 +18,7 @@ All computations are exact (integers and ``Fraction``).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -27,8 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 from .exact import (
     RationalMatrix,
     hermite_row_basis,
-    integer_kernel,
-    rational_roots,
     smith_normal_form,
     solve_integer_columns,
 )
@@ -155,10 +152,6 @@ class CokernelPresentation:
         m = len(self.P)
         return [[self.Pinv[i][j] for i in range(m)] for j in self.torsion_indices]
 
-    def free_generator_vectors(self) -> List[List[int]]:
-        m = len(self.P)
-        return [[self.Pinv[i][j] for i in range(m)] for j in self.free_indices]
-
     def snf_coordinates(self, t: Sequence[int]) -> List[int]:
         m = len(self.P)
         return [sum(self.P[i][k] * t[k] for k in range(m)) for i in range(m)]
@@ -204,11 +197,6 @@ def _identity(n: int) -> IntMatrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _int_inverse(M: IntMatrix) -> IntMatrix:
-    inv = RationalMatrix(M).inverse()
-    return inv.int_rows()
-
-
 def cokernel_presentation(A: Sequence[Sequence[int]]) -> CokernelPresentation:
     """Present the quotient Z^m / (column span of A).
 
@@ -230,12 +218,12 @@ def cokernel_presentation(A: Sequence[Sequence[int]]) -> CokernelPresentation:
             FiniteAbelianGroup((), m), A, D, P, Q, _identity(m), [], list(range(m))
         )
         return pres
-    D, P, Q = smith_normal_form(A)
+    D, P, Q, Pinv = smith_normal_form(A)
     r = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
     torsion = [i for i in range(r) if D[i][i] >= 2]
     free = list(range(r, m))
     group = FiniteAbelianGroup(tuple(D[i][i] for i in torsion), len(free))
-    return CokernelPresentation(group, A, D, P, Q, _int_inverse(P), torsion, free)
+    return CokernelPresentation(group, A, D, P, Q, Pinv, torsion, free)
 
 
 def discriminant_form(G: GramLattice) -> DiscriminantForm:
@@ -290,7 +278,7 @@ def radical_and_quotient(G: GramLattice) -> Tuple[List[List[int]], GramLattice]:
     """
     n = G.rank
     A = [list(row) for row in G.gram]
-    D, _P, Q = smith_normal_form(A)
+    D, _P, Q, _Pinv = smith_normal_form(A)
     r = sum(1 for i in range(n) if D[i][i] != 0)
     radical = [[Q[i][j] for i in range(n)] for j in range(r, n)]
     complement = [[Q[i][j] for i in range(n)] for j in range(r)]
@@ -389,37 +377,6 @@ def even_dual_kernel(G: GramLattice) -> List[List[int]]:
         kernel_lifts.append(v)
     candidates = kernel_lifts + [[2 * int(i == j) for j in range(n)] for i in range(n)]
     return hermite_row_basis(candidates)
-
-
-def block_projections(W: GramLattice, rho_plus: int) -> Tuple[RationalMatrix, RationalMatrix]:
-    """Form-compatible projections between the two halves of a block Gram.
-
-    For W = [[G+, C], [C^T, G-]] with nondegenerate diagonal blocks, returns
-    (pi_plus, pi_minus) where pi_plus = G+^{-1} C maps minus-side coordinates
-    to the plus side (the orthogonal projection of the embedded minus lattice
-    onto the plus span), and pi_minus = G-^{-1} C^T the other way.
-    """
-    n = W.rank
-    if not 0 < rho_plus < n:
-        raise ValueError("split index out of range")
-    Gp = RationalMatrix([[W.gram[i][j] for j in range(rho_plus)] for i in range(rho_plus)])
-    Gm = RationalMatrix([[W.gram[i][j] for j in range(rho_plus, n)] for i in range(rho_plus, n)])
-    C = RationalMatrix([[W.gram[i][j] for j in range(rho_plus, n)] for i in range(rho_plus)])
-    if Gp.det() == 0 or Gm.det() == 0:
-        raise ValueError("diagonal blocks must be nondegenerate")
-    return Gp.inverse() * C, Gm.inverse() * C.transpose()
-
-
-def rational_eigenstructure(M: RationalMatrix):
-    """Rational eigenvalues of a matrix with algebraic multiplicities.
-
-    Returns:
-        (eigenvalues, remainder): eigenvalues is a sorted list of
-        (value, multiplicity); remainder is the rational-root-free cofactor
-        of the characteristic polynomial ([] or [1] when fully split).
-    """
-    roots, remainder = rational_roots(M.charpoly())
-    return sorted(roots), remainder
 
 
 def signature(G: GramLattice) -> Tuple[int, int, int]:

@@ -15,7 +15,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .catalog import BuildingBlock, Catalog
 from .configuration import (
     COS_SQUARED,
-    Configuration,
     ConfigurationError,
     d_theta,
     feasibility_cone_check,
@@ -29,6 +28,7 @@ from .invariants import InvariantReport, UnsupportedAngle, full_report
 
 __all__ = [
     "MatchCandidate",
+    "rank1_candidate",
     "rank1_pi4_search",
     "rank1_pi6_search",
     "rank1_candidate_count",
@@ -59,9 +59,11 @@ def _ordinary_role_rank1(catalog: Catalog) -> List[BuildingBlock]:
             and (b.kind == "ordinary" or b.ordinary_ok)]
 
 
-def _candidate(plus: BuildingBlock, minus: BuildingBlock,
-               theta_text: str) -> Optional[MatchCandidate]:
-    """Build the rank-1 pushout match for one ordered pair, if it exists."""
+def rank1_candidate(plus: BuildingBlock, minus: BuildingBlock,
+                    theta_text: str) -> Optional[MatchCandidate]:
+    """The rank-1 pushout match of one ordered pair at an angle such as
+    "1/4pi" or "-1/6pi", with its invariants, or None if the generator
+    squares admit no integral cross term."""
     n_plus = plus.N.gram[0][0]
     n_minus = minus.N.gram[0][0]
     push = rank1_pushout(n_plus, n_minus, theta_text)
@@ -99,7 +101,7 @@ def rank1_pi4_search(catalog: Catalog) -> List[MatchCandidate]:
     out = []
     for plus in _involution_rank1(catalog):
         for minus in _ordinary_role_rank1(catalog):
-            cand = _candidate(plus, minus, "1/4pi")
+            cand = rank1_candidate(plus, minus, "1/4pi")
             if cand is not None:
                 out.append(cand)
     out.sort(key=lambda c: (c.report.b3, c.plus_id, c.minus_id))
@@ -117,7 +119,7 @@ def rank1_pi6_search(catalog: Catalog) -> List[MatchCandidate]:
     inv = _involution_rank1(catalog)
     for plus in inv:
         for minus in inv:
-            cand = _candidate(plus, minus, "1/6pi")
+            cand = rank1_candidate(plus, minus, "1/6pi")
             if cand is not None:
                 out.append(cand)
     out.sort(key=lambda c: (c.report.b3, c.plus_id, c.minus_id))

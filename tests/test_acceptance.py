@@ -163,18 +163,21 @@ def _minor_gcd_factors(A, n):
 
 
 def _brute_force_classes(A, span):
+    """Number of classes of Z^n / A Z^n among the points of [0, span)^n.
+
+    t - t' lies in A Z^n exactly when A^-1 (t - t') is integral, that is
+    when adj(A) (t - t') = det(A) A^-1 (t - t') is 0 mod |det A|; so
+    adj(A) t mod |det A| keys the class of t.
+    """
     from itertools import product as iproduct
-    M = RationalMatrix(A)
-    classes = []
-    for t in iproduct(range(span), repeat=len(A)):
-        for c in classes:
-            diff = [a - b for a, b in zip(t, c)]
-            sol = M.solve(diff)
-            if sol is not None and all(x.denominator == 1 for x in sol):
-                break
-        else:
-            classes.append(t)
-    return len(classes)
+    n = len(A)
+    det = abs(int(RationalMatrix(A).det()))
+    adj = [[(-1) ** (i + j) * int(RationalMatrix(
+        [row[:i] + row[i + 1:] for k, row in enumerate(A) if k != j]).det())
+        for j in range(n)] for i in range(n)]
+    keys = {tuple(sum(a * x for a, x in zip(row, t)) % det for row in adj)
+            for t in iproduct(range(span), repeat=n)}
+    return len(keys)
 
 
 def test_criterion_6_lattice_core_oracles():

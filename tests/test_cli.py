@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -66,6 +67,37 @@ def test_match_json_deterministic(runner):
     assert out1.output == out2.output
     doc = json.loads(out1.output)
     assert doc[0]["report"]["b3"] == 64
+
+
+# sha256 of ``match --format json`` output for rank-1 pairs, recorded
+# before the rank-1 branch of ``match`` was folded into
+# ``search.rank1_candidate``.
+RANK1_MATCH_DIGESTS = [
+    ("3.21", "3.8_1_18", "1/4pi",
+     "a1a6ca742a6904644416b848d795515aea1296f21343112e40313896a2c3f454"),
+    ("3.22_4", "3.8_1_16", "1/4pi",
+     "43247a254809a3902a475e4b80721ccd6c3a757acf9b93e92f996daa1e45a6d8"),
+    ("3.22_1", "3.22_3", "1/6pi",
+     "dd5ecd6b030f516391dbcb32386628aa4144a3db6597d53ac4bfc05d5b3bbf1c"),
+    ("3.22_3", "3.22_1", "-1/6pi",
+     "09ba3aeb33d6a94eb38a09b39707cf69c20717a1f4279bc1bf02996821482223"),
+    ("3.21", "3.8_1_18", "-1/4pi",
+     "bc89dea104fd4d87750e3b1b51a985d4b89e9fa57c9eb66917f5854cf1e24ba2"),
+    ("3.21", "3.8_1_2", "1/4pi",
+     "bc67d63c0384c3b7e0ebb73685949001261f6771b9afeb582ca07666e3a6e131"),
+    ("3.22_1", "3.8_1_4", "1/2pi",
+     "26fe187b014b7d6a030abf9d285ef5ec2fd60d70a1e8fe2791e1cca8d8e85dc4"),
+    ("3.22_1", "3.8_1_4", "1/3pi",
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+]
+
+
+@pytest.mark.parametrize("plus,minus,theta,digest", RANK1_MATCH_DIGESTS)
+def test_match_rank1_json_bytes(runner, plus, minus, theta, digest):
+    result = invoke(runner, "match", "--plus", plus, "--minus", minus,
+                    "--theta", theta, "--format", "json")
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
 def test_match_inadmissible_pair(runner):
@@ -226,6 +258,23 @@ def test_reproduce_targets(runner, target, needle):
     result = invoke(runner, "reproduce", target)
     assert result.exit_code == 0, result.output
     assert needle in result.output
+
+
+def test_check_row_compares_2_torsion_linking_forms(catalog):
+    from g2tcs.cli import _check_row
+    from g2tcs.configuration import make_configuration
+    from g2tcs.fixtures import TABLE5, table5_pushout
+    from g2tcs.invariants import full_report
+
+    rows = {row[0]: row for row in TABLE5}
+    row = rows["8.3"]
+    report = full_report(make_configuration(
+        catalog.get(row[2]), catalog.get(row[3]), row[1],
+        [list(r) for r in table5_pushout(row)]))
+    b3, d, factors = row[4:7]
+    assert _check_row(report, b3, d, factors, row[7]) is None
+    problem = _check_row(report, b3, d, factors, rows["8.4"][7])
+    assert problem is not None and problem.startswith("linking")
 
 
 def test_reproduce_table5_reads_only_the_given_catalog(runner, tmp_path,

@@ -207,7 +207,7 @@ def test_lambda_lattices(example_configs):
     cfg, _ = example_configs["8.7"]
     lam_plus, lam_minus = lambda_lattices(cfg)
     assert lam_plus.rank == 2
-    D, _P, _Q = smith_normal_form([list(r) for r in lam_plus.gram])
+    D, _P, _Q, _Pinv = smith_normal_form([list(r) for r in lam_plus.gram])
     # elementary divisors of the Gram give discriminant group Z/2 + Z/16
     diag = sorted(abs(D[i][i]) for i in range(lam_plus.rank))
     assert diag == [2, 16]

@@ -74,10 +74,11 @@ def test_int_det_pivots_past_zero():
 @given(any_matrix)
 @settings(max_examples=80, deadline=None)
 def test_smith_normal_form_properties(A):
-    D, P, Q = smith_normal_form(A)
+    D, P, Q, Pinv = smith_normal_form(A)
     m, n = len(A), len(A[0])
     PA = RationalMatrix(P) * RationalMatrix(A) * RationalMatrix(Q)
     assert PA == RationalMatrix(D)
+    assert RationalMatrix(P) * RationalMatrix(Pinv) == RationalMatrix.identity(m)
     assert abs(RationalMatrix(P).det()) == 1
     assert abs(RationalMatrix(Q).det()) == 1
     diag = [D[i][i] for i in range(min(m, n))]

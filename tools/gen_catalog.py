@@ -177,13 +177,17 @@ for bid, rank, gram, b3, b3p, chic, mkr in SMOOTHED:
                "smoothing of a non-symplectic-involution K3 cone block")
 
 
+def render() -> str:
+    """The catalog document, as main() writes it."""
+    doc = {"format": "g2tcs-block-catalog", "version": 1, "blocks": BLOCKS}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
 def main():
     out = os.path.join(os.path.dirname(__file__), "..",
                        "src", "g2tcs", "data", "catalog.json")
-    doc = {"format": "g2tcs-block-catalog", "version": 1, "blocks": BLOCKS}
     with open(out, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(render())
     print(f"wrote {len(BLOCKS)} blocks")
 
 

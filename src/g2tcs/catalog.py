@@ -115,12 +115,6 @@ class Catalog:
             raise KeyError(f"unknown building block id {block_id!r}") \
                 from None
 
-    def ordinary(self) -> List[BuildingBlock]:
-        return [b for b in self.blocks if not b.is_involution]
-
-    def involution(self) -> List[BuildingBlock]:
-        return [b for b in self.blocks if b.is_involution]
-
 
 def _block_from_record(rec: Mapping) -> BuildingBlock:
     required = ["id", "kind", "rank", "N", "c2bar", "b3", "provenance",
@@ -251,53 +245,6 @@ def derive_c2bar_cover(c2barX: Sequence[int],
     if len(c2barX) != len(minus_k_row):
         raise ValueError("c2bar and -K pairing rows have different length")
     return tuple(2 * c - 3 * k for c, k in zip(c2barX, minus_k_row))
-
-
-@dataclass(frozen=True)
-class NonSymplecticType:
-    """Nikulin invariants (r, a, delta) of a K3 non-symplectic involution.
-
-    r is the rank of the invariant lattice, 2^a the order of its
-    discriminant group, delta in {0, 1} the parity of the discriminant
-    form.
-    """
-
-    r: int
-    a: int
-    delta: int
-
-    def __post_init__(self):
-        if not 1 <= self.r <= 20:
-            raise ValueError("invariant rank must be in 1..20")
-        if not 0 <= self.a <= min(self.r, 22 - self.r):
-            raise ValueError("discriminant exponent out of range")
-        if self.delta not in (0, 1):
-            raise ValueError("delta must be 0 or 1")
-        if (self.r - self.a) % 2:
-            raise ValueError("r - a must be even")
-
-    @property
-    def fixed_curve_genus(self) -> int:
-        """Genus of the largest component of the fixed curve."""
-        return (22 - self.r - self.a) // 2
-
-    @property
-    def fixed_curve_rational_components(self) -> int:
-        """Number of rational components of the fixed curve."""
-        return (self.r - self.a) // 2
-
-
-def derive_kovalev_lee(t: NonSymplecticType) -> Dict[str, int]:
-    """Betti data of the block built from a non-symplectic involution.
-
-    Returns b2, b3 and the rank of the kernel of restriction to the K3
-    fibre, in terms of the Nikulin invariants of the involution.
-    """
-    return {
-        "b2": 2 * t.r - t.a + 3,
-        "b3": 44 - 2 * t.r - 2 * t.a,
-        "rkK": t.r - t.a + 2,
-    }
 
 
 def derive_smoothed(r: int) -> Tuple[int, int]:

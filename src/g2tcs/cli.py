@@ -12,7 +12,8 @@ import click
 
 from .catalog import CatalogError, load_catalog, verify_catalog
 from .configuration import (ConfigurationError, make_configuration,
-                            pushout_from_glue, validate_configuration)
+                            parse_theta, pushout_from_glue,
+                            validate_configuration)
 from .fixtures import EXAMPLES, TABLE4, TABLE5, table5_pushout
 from .invariants import (InvariantReport, UnsupportedAngle, full_report,
                          linking_forms_equivalent)
@@ -101,10 +102,9 @@ def _emit_json(payload):
 _TABLE_HEADER = ("Z+", "Z-", "b3", "d", "TH4", "b", "nu_bar")
 
 
-def _candidate_row(cand: MatchCandidate):
-    r = cand.report
-    return (cand.plus_id, cand.minus_id, str(r.b3), str(r.d_free),
-            _torsion_text(r), _linking_text(r), str(r.nu_bar))
+def _report_row(plus_id: str, minus_id: str, report: InvariantReport):
+    return (plus_id, minus_id, str(report.b3), str(report.d_free),
+            _torsion_text(report), _linking_text(report), str(report.nu_bar))
 
 
 def _emit_table(rows, header=_TABLE_HEADER):
@@ -206,6 +206,7 @@ def match(ctx, plus_id, minus_id, theta, pure, bound, fmt):
     except KeyError as exc:
         _fail(EXIT_LOOKUP, str(exc.args[0]))
     try:
+        parse_theta(theta)
         if bound is not None:
             candidates = cross_term_search(plus, minus, theta, bound,
                                            pure=pure)
@@ -220,14 +221,30 @@ def match(ctx, plus_id, minus_id, theta, pure, bound, fmt):
     if fmt == "json":
         _emit_json([_candidate_doc(c) for c in candidates])
     else:
-        _emit_table([_candidate_row(c) for c in candidates])
+        _emit_table([_report_row(c.plus_id, c.minus_id, c.report)
+                     for c in candidates])
+
+
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number",
+               float: "number", str: "string", list: "array"}
+
+
+def _is_exact(x) -> bool:
+    """Whether x is an int or a string that Fraction reads exactly."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        return False
+    try:
+        Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
 
 
 def _check_config_fields(doc):
     """Exit with a validation error naming the first absent or mistyped field."""
     if not isinstance(doc, dict):
         _fail(EXIT_VALIDATION, "bad config document: expected a JSON object, "
-                               f"got {type(doc).__name__}")
+                               f"got {_JSON_TYPES[type(doc)]}")
     fields = {"plus": str, "minus": str, "theta": str}
     grams = (["pushout"] if "pushout" in doc
              else ["base_gram", "plus_basis", "minus_basis"])
@@ -243,12 +260,11 @@ def _check_config_fields(doc):
     # Glue rows are read with Fraction: only ints and "p/q" strings are
     # exact (a float would be taken as a binary fraction).
     for name in grams:
-        if any(not isinstance(row, list)
-               or any(isinstance(x, bool) or not isinstance(x, (int, str))
-                      for x in row)
+        if any(not isinstance(row, list) or not all(map(_is_exact, row))
                for row in doc[name]):
             _fail(EXIT_VALIDATION, f"config field {name!r} must be an array "
-                                   "of rows of integers or \"p/q\" strings")
+                                   "of rows of integers or \"p/q\" strings "
+                                   "with q != 0")
 
 
 @main.command()
@@ -282,10 +298,8 @@ def invariants(ctx, config_path, fmt):
         if "pushout" in doc:
             rows = doc["pushout"]
         else:
-            rows = pushout_from_glue(
-                doc["base_gram"],
-                [[Fraction(x) for x in row] for row in doc["plus_basis"]],
-                [[Fraction(x) for x in row] for row in doc["minus_basis"]])
+            rows = pushout_from_glue(doc["base_gram"], doc["plus_basis"],
+                                     doc["minus_basis"])
         cfg = make_configuration(plus, minus, doc["theta"], rows,
                                  orientation=doc.get("orientation"))
         check = validate_configuration(cfg)
@@ -298,9 +312,7 @@ def invariants(ctx, config_path, fmt):
     if fmt == "json":
         _emit_json(_report_doc(report))
     else:
-        _emit_table([(doc["plus"], doc["minus"], str(report.b3),
-                      str(report.d_free), _torsion_text(report),
-                      _linking_text(report), str(report.nu_bar))])
+        _emit_table([_report_row(doc["plus"], doc["minus"], report)])
 
 
 def _check_row(report, b3, d, torsion_factors, linking):
@@ -311,6 +323,12 @@ def _check_row(report, b3, d, torsion_factors, linking):
             torsion_factors, linking, report.linking):
         return f"linking {report.linking} != expected {linking}"
     return None
+
+
+def _fixture_report(cat, plus_id, minus_id, theta, rows) -> InvariantReport:
+    """The invariants of one shipped reference configuration."""
+    return full_report(make_configuration(
+        cat.get(plus_id), cat.get(minus_id), theta, [list(r) for r in rows]))
 
 
 @main.command()
@@ -339,51 +357,41 @@ def reproduce(ctx, target, fmt):
             problem = _check_row(cand.report, b3, d, tf, link)
             if problem:
                 failures.append(f"{label}: {problem}")
-            lines.append((_candidate_row(cand), problem is None))
+            lines.append(_report_row(plus_id, minus_id, cand.report))
         lines_note = (f"{scanned} pairs scanned, {len(matches)} matches, "
                       f"{len(matches) - len(failures)} rows match")
     elif target == "table5":
         for row in TABLE5:
             example, theta, plus_id, minus_id, b3, d, tf, link, nb = row
             label = f"{example} {plus_id} x {minus_id}"
-            cfg = make_configuration(
-                cat.get(plus_id), cat.get(minus_id), theta,
-                [list(r) for r in table5_pushout(row, cat)])
-            report = full_report(cfg)
+            report = _fixture_report(cat, plus_id, minus_id, theta,
+                                     table5_pushout(row, cat))
             problem = _check_row(report, b3, d, tf, link)
             if problem is None and report.nu_bar != nb:
                 problem = f"nu_bar {report.nu_bar} != {nb}"
             if problem:
                 failures.append(f"{label}: {problem}")
-            lines.append(((plus_id, minus_id, str(report.b3),
-                           str(report.d_free), _torsion_text(report),
-                           _linking_text(report), str(report.nu_bar)),
-                          problem is None))
+            lines.append(_report_row(plus_id, minus_id, report))
         lines_note = (f"{len(TABLE5) - len(failures)}/{len(TABLE5)} "
                       "rows match")
     else:
         for name in sorted(EXAMPLES):
             plus_id, minus_id, theta, rows, expected = EXAMPLES[name]
-            cfg = make_configuration(cat.get(plus_id), cat.get(minus_id),
-                                     theta, [list(r) for r in rows])
-            report = full_report(cfg)
+            report = _fixture_report(cat, plus_id, minus_id, theta, rows)
             got = (report.b2, report.b3, report.torsion_order,
                    report.d_free, report.d_full, report.nu_bar)
             problem = (None if got == expected
                        else f"got {got} expected {expected}")
             if problem:
                 failures.append(f"{name}: {problem}")
-            lines.append(((plus_id, minus_id, str(report.b3),
-                           str(report.d_free), _torsion_text(report),
-                           _linking_text(report), str(report.nu_bar)),
-                          problem is None))
+            lines.append(_report_row(plus_id, minus_id, report))
         lines_note = (f"{len(EXAMPLES) - len(failures)}/{len(EXAMPLES)} "
                       "examples match")
     if fmt == "json":
         _emit_json({"target": target, "ok": not failures,
                     "summary": lines_note, "failures": failures})
     else:
-        _emit_table([row for row, _ok in lines])
+        _emit_table(lines)
         click.echo(lines_note)
         for failure in failures:
             click.echo(f"MISMATCH {failure}")

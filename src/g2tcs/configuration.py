@@ -16,13 +16,13 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .catalog import BuildingBlock
 from .exact import (
     RationalMatrix,
-    integer_kernel,
+    clear_denominators,
     rational_roots,
     sturm_count_roots,
 )
@@ -68,12 +68,10 @@ def parse_theta(text: str) -> Tuple[Fraction, int]:
                                  f"like '1/4pi' or 'pi/4'")
     if m.group(1) and m.group(3):
         raise ConfigurationError(f"ambiguous angle {text!r}")
-    if m.group(1):
-        theta = Fraction(int(m.group(1)), int(m.group(2)))
-    elif m.group(3):
-        theta = Fraction(1, int(m.group(3)))
-    else:
-        theta = Fraction(1)
+    denominator = int(m.group(2) or m.group(3) or 1)
+    if denominator == 0:
+        raise ConfigurationError(f"angle {text!r} has a zero denominator")
+    theta = Fraction(int(m.group(1) or 1), denominator)
     if theta not in COS_SQUARED:
         raise ConfigurationError(f"angle {text!r} is not one of the seven "
                                  f"admissible fractions of pi")
@@ -220,9 +218,9 @@ class Configuration:
     concatenated bases of N+ and N- inside the K3 lattice; it may be
     degenerate when the two sublattices intersect. Its derived data (the
     radical and quotient, the projections and side compositions, the
-    characteristic polynomial and eigenspaces of pi+ pi-, the boundary
-    presentation) are computed once, on first use, by the functions
-    marked ``per_configuration``.
+    characteristic polynomial and eigenspaces of pi+ pi-, the validation
+    report, the boundary presentation) are computed once, on first use, by
+    the functions marked ``per_configuration``.
     """
 
     plus: BuildingBlock
@@ -370,6 +368,7 @@ def _eigenvalues_in_unit_interval(p: Sequence[Fraction]) -> bool:
     return above == 0 and below == 0
 
 
+@per_configuration
 def validate_configuration(cfg: Configuration) -> ValidationReport:
     """Structural checks of a configuration's pushout presentation.
 
@@ -385,22 +384,11 @@ def validate_configuration(cfg: Configuration) -> ValidationReport:
     if W.rank != rp + rm:
         return ValidationReport(False, (
             f"pushout rank {W.rank} != rho+ + rho- = {rp + rm}",), ())
-    for i in range(rp):
-        for j in range(rp):
-            if W.gram[i][j] != cfg.plus.N.gram[i][j]:
-                problems.append("leading diagonal block differs from N+")
-                break
-        else:
-            continue
-        break
-    for i in range(rm):
-        for j in range(rm):
-            if W.gram[rp + i][rp + j] != cfg.minus.N.gram[i][j]:
-                problems.append("trailing diagonal block differs from N-")
-                break
-        else:
-            continue
-        break
+    if any(W.gram[i][:rp] != row for i, row in enumerate(cfg.plus.N.gram)):
+        problems.append("leading diagonal block differs from N+")
+    if any(W.gram[rp + i][rp:] != row
+           for i, row in enumerate(cfg.minus.N.gram)):
+        problems.append("trailing diagonal block differs from N-")
     if not W.is_even():
         problems.append("pushout must be an even lattice")
     if not problems:
@@ -480,11 +468,7 @@ def _restricted_signature(G: RationalMatrix,
         gu = G.mul_vector(u)
         rows.append([sum(a * b for a, b in zip(v, gu)) for v in basis])
     # Clear denominators so the integer signature routine applies.
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    int_rows = [[int(x * denom) for x in row] for row in rows]
+    _d, int_rows = clear_denominators(rows)
     return signature(GramLattice.from_rows(int_rows))
 
 
@@ -711,78 +695,3 @@ def feasibility_cone_check(cfg: Configuration):
     witness = [sum(v[i] * c for v, c in zip(S_cols, t))
                for i in range(cfg.rho_plus)]
     return True, witness
-
-
-# -------------------------------------------------------------- sublattices
-
-def _saturate_span(vectors: List[List[Fraction]], n: int) -> List[List[int]]:
-    """Integer basis of (rational span of ``vectors``) intersect Z^n."""
-    span = RationalMatrix([[v[i] for i in range(n)] for v in vectors])
-    ann = span.nullspace()  # columns x with (vectors) . x = 0
-    if not ann:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    rows = []
-    for a in ann:
-        denom = 1
-        for x in a:
-            denom = lcm(denom, x.denominator)
-        rows.append([int(x * denom) for x in a])
-    return integer_kernel(rows)
-
-
-def lambda_lattices(cfg: Configuration) -> Tuple[GramLattice, GramLattice]:
-    """The two auxiliary overlattices controlling block embeddings.
-
-    Lambda+ is the primitive closure inside the pushout of N+ together
-    with the part of N- orthogonal to the angle eigenspace (and
-    symmetrically for Lambda-). For a pure angle both equal N+-.
-    """
-    rp, rm = cfg.rho_plus, cfg.rho_minus
-    n = rp + rm
-    plus_eig, minus_eig, _m = angle_eigenspaces(cfg, cfg.angle.cos_squared)
-
-    def off_eigen_part(eig: List[List[Fraction]], G: RationalMatrix,
-                       rho: int) -> List[List[int]]:
-        """Integer basis of the orthogonal complement of the eigenspace."""
-        if not eig:
-            return [[int(i == j) for j in range(rho)] for i in range(rho)]
-        rows = []
-        for v in eig:
-            gv = G.mul_vector(v)
-            denom = 1
-            for x in gv:
-                denom = lcm(denom, x.denominator)
-            rows.append([int(x * denom) for x in gv])
-        return integer_kernel(rows)
-
-    def build(own_first: bool) -> GramLattice:
-        if own_first:
-            own_rho, other_rho = rp, rm
-            eig = minus_eig
-            G = cfg.minus.N.matrix()
-        else:
-            own_rho, other_rho = rm, rp
-            eig = plus_eig
-            G = cfg.plus.N.matrix()
-        gens: List[List[Fraction]] = []
-        base = 0 if own_first else rp
-        for i in range(own_rho):
-            v = [Fraction(0)] * n
-            v[base + i] = Fraction(1)
-            gens.append(v)
-        for vec in off_eigen_part(eig, G, other_rho):
-            v = [Fraction(0)] * n
-            for i, x in enumerate(vec):
-                v[(rp if own_first else 0) + i] = Fraction(x)
-            gens.append(v)
-        basis = _saturate_span(gens, n)
-        Wm = cfg.pushout.matrix()
-        gram = []
-        for u in basis:
-            gu = Wm.mul_vector(u)
-            gram.append([int(sum(a * b for a, b in zip(v, gu)))
-                         for v in basis])
-        return GramLattice.from_rows(
-            gram, basis=[[Fraction(x) for x in row] for row in basis])
-
-    return build(True), build(False)

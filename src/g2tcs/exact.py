@@ -9,7 +9,8 @@ the rest of the package:
 * Integer matrix normal forms — Smith normal form with unimodular transforms
   ``D = P A Q`` (and ``P^-1``), a canonical Hermite row basis for integer row lattices and
   a fraction-free (Bareiss) determinant.
-* Lattice utilities — intersections of integer row lattices.
+* Lattice utilities — intersections of integer row lattices and clearing
+  the denominators of rational rows.
 * Polynomial helpers — exact rational-root extraction and a splitter for
   palindromic products of factors ``x^2 - t x + 1`` (the shape produced by
   form-preserving involution products).
@@ -20,7 +21,7 @@ Everything is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 IntMatrix = List[List[int]]
@@ -55,13 +56,6 @@ class RationalMatrix:
     def zeros(cls, m: int, n: int) -> "RationalMatrix":
         return cls([[Fraction(0)] * n for _ in range(m)])
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence]) -> "RationalMatrix":
-        cols = _as_fraction_rows(cols)
-        if not cols:
-            return cls([])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-
     # -- basic accessors --------------------------------------------------
 
     @property
@@ -71,12 +65,6 @@ class RationalMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def column(self, j: int) -> FracVector:
-        return [row[j] for row in self.rows]
-
-    def columns(self) -> List[FracVector]:
-        return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
@@ -192,19 +180,6 @@ class RationalMatrix:
             raise ValueError("matrix is singular")
         return RationalMatrix([row[n:] for row in rows])
 
-    def solve(self, b: Sequence) -> Optional[FracVector]:
-        """One solution of ``self @ x = b``, or None if inconsistent."""
-        b = [Fraction(x) for x in b]
-        aug = RationalMatrix([row + [bv] for row, bv in zip(self.rows, b)])
-        rows, pivots = aug._rref()
-        n = self.ncols
-        if n in pivots:  # pivot in the augmented column: inconsistent
-            return None
-        x = [Fraction(0)] * n
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][n]
-        return x
-
     def charpoly(self) -> List[Fraction]:
         """Monic characteristic polynomial, coefficients highest degree first.
 
@@ -232,6 +207,14 @@ class RationalMatrix:
         if not self.is_integer():
             raise ValueError("matrix has non-integer entries")
         return [[int(x) for x in row] for row in self.rows]
+
+
+def clear_denominators(rows: Iterable[Iterable]) -> Tuple[int, IntMatrix]:
+    """(d, d * rows) for the least d >= 1 making every entry an integer."""
+    rows = _as_fraction_rows(rows)
+    d = lcm(1, *(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row]
+               for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +520,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     # clear denominators for the rational root theorem
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
+    _d, (ints,) = clear_denominators([coeffs])
     if len(ints) == 1:
         return roots, coeffs
     lead, const = ints[0], ints[-1]

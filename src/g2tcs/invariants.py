@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .configuration import (
@@ -24,7 +24,7 @@ from .configuration import (
     per_configuration,
     validate_configuration,
 )
-from .exact import lattice_intersection
+from .exact import clear_denominators, lattice_intersection
 from .lattices import (
     CokernelPresentation,
     FiniteAbelianGroup,
@@ -247,14 +247,8 @@ def pure_angle_torsion(cfg: Configuration) -> PureTorsion:
     quotient = quotient_by_2torsion(delta)
     # Free part: (s pi- N+) intersect N-, s = 1 (pi/4) or 2/3 (pi/6).
     scale = Fraction(1) if c2 == Fraction(1, 2) else Fraction(2, 3)
-    image_rows = []
-    denom = 1
-    for i in range(rp):
-        row = [scale * pi_minus.rows[j][i] for j in range(rm)]
-        for x in row:
-            denom = lcm(denom, x.denominator)
-        image_rows.append(row)
-    int_rows = [[int(x * denom) for x in row] for row in image_rows]
+    denom, int_rows = clear_denominators(
+        [scale * pi_minus.rows[j][i] for j in range(rm)] for i in range(rp))
     scaled_identity = [[denom * int(i == j) for j in range(rm)]
                        for i in range(rm)]
     inter = lattice_intersection(int_rows, scaled_identity)
@@ -630,11 +624,6 @@ class InvariantReport:
     angles: AngleSpectrum
     nu_bar: int
     nu: int
-
-    @property
-    def nu_signed(self) -> int:
-        """nu in the symmetric range (-24, 24]."""
-        return self.nu if self.nu <= 24 else self.nu - 48
 
     @property
     def torsion_order(self) -> Optional[int]:

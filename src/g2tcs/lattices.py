@@ -5,11 +5,11 @@ the finite abelian groups they induce:
 
 * ``cokernel_presentation`` — the quotient of Z^m by the column span of an
   integer matrix, presented through a Smith normal form with transforms, with
-  exact projection and preimage solving.
+  class orders and preimage solving.
 * ``discriminant_form`` — the torsion group N*/N of a nondegenerate lattice
   together with its fractional pairing.
-* Structure operations used by the gluing pipeline: radical quotients, glue
-  overlattices, saturation of rational spans and the even "half-dual" kernel
+* Structure operations used by the gluing pipeline: radical quotients, the
+  lattice generated by rational vectors and the even "half-dual" kernel
   sublattice.
 
 All computations are exact (integers and ``Fraction``).
@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exact import (
     RationalMatrix,
+    clear_denominators,
     hermite_row_basis,
     smith_normal_form,
     solve_integer_columns,
@@ -86,10 +87,6 @@ class GramLattice:
     def matrix(self) -> RationalMatrix:
         return RationalMatrix([list(row) for row in self.gram])
 
-    def determinant(self) -> int:
-        d = self.matrix().det()
-        return int(d)
-
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
@@ -107,11 +104,6 @@ class FiniteAbelianGroup:
         for d in self.invariant_factors:
             order *= d
         return order
-
-    def describe(self) -> str:
-        parts = [f"Z/{d}" for d in self.invariant_factors]
-        parts.extend(["Z"] * self.free_rank)
-        return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -155,13 +147,6 @@ class CokernelPresentation:
     def snf_coordinates(self, t: Sequence[int]) -> List[int]:
         m = len(self.P)
         return [sum(self.P[i][k] * t[k] for k in range(m)) for i in range(m)]
-
-    def project(self, t: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Class of t in the quotient: (torsion coordinates, free coordinates)."""
-        c = self.snf_coordinates(t)
-        torsion = tuple(c[i] % self.diagonal(i) for i in self.torsion_indices)
-        free = tuple(c[i] for i in self.free_indices)
-        return torsion, free
 
     def diagonal(self, i: int) -> int:
         return self.D[i][i] if i < min(len(self.D), len(self.D[0]) if self.D else 0) else 0
@@ -293,24 +278,6 @@ def radical_and_quotient(G: GramLattice) -> Tuple[List[List[int]], GramLattice]:
     return radical, reduced
 
 
-def overlattice_from_glue(G: GramLattice, glue: Sequence[Sequence]) -> GramLattice:
-    """Overlattice generated by the standard basis and rational glue vectors.
-
-    Args:
-        G: Gram matrix of the base lattice (coordinates = standard basis).
-        glue: rational vectors, in base coordinates, to adjoin.
-
-    Returns:
-        The resulting lattice with its Gram matrix and basis (rows, in base
-        coordinates). Raises ValueError if the result is not an integral even
-        lattice.
-    """
-    n = G.rank
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows += [[Fraction(x) for x in v] for v in glue]
-    return saturated_sum(G, rows)
-
-
 def saturated_sum(ambient: GramLattice, generators: Sequence[Sequence]) -> GramLattice:
     """Lattice generated by rational vectors inside the span of ``ambient``.
 
@@ -325,12 +292,7 @@ def saturated_sum(ambient: GramLattice, generators: Sequence[Sequence]) -> GramL
         "sum is not an integral lattice" if the induced form is not integral
         and even.
     """
-    denom = 1
-    gen_rows = [[Fraction(x) for x in v] for v in generators]
-    for row in gen_rows:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    int_rows = [[int(x * denom) for x in row] for row in gen_rows]
+    denom, int_rows = clear_denominators(generators)
     basis_int = hermite_row_basis(int_rows)
     basis = [[Fraction(x, denom) for x in row] for row in basis_int]
     Gm = ambient.matrix()

@@ -48,15 +48,19 @@ class MatchCandidate:
     report: InvariantReport
 
 
-def _involution_rank1(catalog: Catalog) -> List[BuildingBlock]:
-    return [b for b in catalog.blocks
+def _rank1_pairs(catalog: Catalog, theta: Fraction
+                 ) -> List[Tuple[BuildingBlock, BuildingBlock]]:
+    """Ordered rank-1 block pairs scanned at the angle theta (a fraction of
+    pi): involution blocks on the plus side; at +-pi/6 involution blocks on
+    the minus side too, otherwise blocks usable in their ordinary role."""
+    plus = [b for b in catalog.blocks
             if b.kind == "involution" and b.rank == 1]
-
-
-def _ordinary_role_rank1(catalog: Catalog) -> List[BuildingBlock]:
-    """Rank-1 blocks usable on the untwisted side of a gluing."""
-    return [b for b in catalog.blocks if b.rank == 1
-            and (b.kind == "ordinary" or b.ordinary_ok)]
+    if abs(theta) == Fraction(1, 6):
+        minus = plus
+    else:
+        minus = [b for b in catalog.blocks if b.rank == 1
+                 and (b.kind == "ordinary" or b.ordinary_ok)]
+    return [(p, m) for p in plus for m in minus]
 
 
 def rank1_candidate(plus: BuildingBlock, minus: BuildingBlock,
@@ -84,11 +88,17 @@ def rank1_candidate_count(catalog: Catalog, theta) -> int:
     """Number of ordered rank-1 block pairs scanned at the given angle."""
     if isinstance(theta, str):
         theta, _ = parse_theta(theta)
-    theta = abs(Fraction(theta))
-    plus = _involution_rank1(catalog)
-    if theta == Fraction(1, 6):
-        return len(plus) * len(plus)
-    return len(plus) * len(_ordinary_role_rank1(catalog))
+    return len(_rank1_pairs(catalog, Fraction(theta)))
+
+
+def _rank1_search(catalog: Catalog, theta_text: str) -> List[MatchCandidate]:
+    """The matches of every scanned rank-1 pair, sorted by
+    (b3, plus_id, minus_id)."""
+    theta, _ = parse_theta(theta_text)
+    found = [rank1_candidate(plus, minus, theta_text)
+             for plus, minus in _rank1_pairs(catalog, theta)]
+    return sorted((c for c in found if c is not None),
+                  key=lambda c: (c.report.b3, c.plus_id, c.minus_id))
 
 
 def rank1_pi4_search(catalog: Catalog) -> List[MatchCandidate]:
@@ -98,14 +108,7 @@ def rank1_pi4_search(catalog: Catalog) -> List[MatchCandidate]:
     when 2 n+ n- is a perfect square. Output is sorted by
     (b3, plus_id, minus_id).
     """
-    out = []
-    for plus in _involution_rank1(catalog):
-        for minus in _ordinary_role_rank1(catalog):
-            cand = rank1_candidate(plus, minus, "1/4pi")
-            if cand is not None:
-                out.append(cand)
-    out.sort(key=lambda c: (c.report.b3, c.plus_id, c.minus_id))
-    return out
+    return _rank1_search(catalog, "1/4pi")
 
 
 def rank1_pi6_search(catalog: Catalog) -> List[MatchCandidate]:
@@ -115,15 +118,7 @@ def rank1_pi6_search(catalog: Catalog) -> List[MatchCandidate]:
     3 n+ n- / 4 with both squares even). Output is sorted by
     (b3, plus_id, minus_id).
     """
-    out = []
-    inv = _involution_rank1(catalog)
-    for plus in inv:
-        for minus in inv:
-            cand = rank1_candidate(plus, minus, "1/6pi")
-            if cand is not None:
-                out.append(cand)
-    out.sort(key=lambda c: (c.report.b3, c.plus_id, c.minus_id))
-    return out
+    return _rank1_search(catalog, "1/6pi")
 
 
 def _gram_permutations(gram: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:

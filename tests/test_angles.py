@@ -36,19 +36,24 @@ def _form_signature(G, basis):
         [[int(x * denom) for x in row] for row in gram]))
 
 
+def _from_columns(cols) -> RationalMatrix:
+    """The matrix whose columns are the given vectors."""
+    return RationalMatrix([list(row) for row in zip(*cols)])
+
+
 def reflection_angles(cfg) -> AngleSpectrum:
     """Configuration angles from the eigenstructure of A+ A-."""
     radical, reduced = radical_and_quotient(cfg.pushout)
     r = reduced.rank
     Ghat = reduced.matrix()
     n = cfg.pushout.rank
-    full = RationalMatrix.from_columns(
+    full = _from_columns(
         [list(map(F, v)) for v in list(reduced.basis or []) + radical])
     inv = full.inverse()
     imgs = [inv.mul_vector([F(int(i == j)) for i in range(n)])[:r]
             for j in range(n)]
-    Bp = RationalMatrix.from_columns(imgs[:cfg.rho_plus])
-    Bm = RationalMatrix.from_columns(imgs[cfg.rho_plus:])
+    Bp = _from_columns(imgs[:cfg.rho_plus])
+    Bm = _from_columns(imgs[cfg.rho_plus:])
 
     def reflection(B):
         P = B * (B.transpose() * Ghat * B).inverse() * B.transpose() * Ghat

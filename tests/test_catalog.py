@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from g2tcs.catalog import (CatalogError, NonSymplecticType, default_catalog_path,
-                           derive_double_cover, derive_kovalev_lee,
-                           derive_lemma_blowup, derive_rank1_fano,
-                           derive_smoothed, load_catalog, verify_catalog)
+from g2tcs.catalog import (CatalogError, default_catalog_path,
+                           derive_double_cover, derive_lemma_blowup,
+                           derive_rank1_fano, derive_smoothed, load_catalog,
+                           verify_catalog)
 
 
 def test_catalog_counts(catalog):
@@ -89,13 +89,3 @@ def test_derive_smoothed():
     b3, b3plus = derive_smoothed(2)
     assert (b3, b3plus) == (96, 32)
 
-
-def test_non_symplectic_type():
-    t = NonSymplecticType(2, 2, 0)
-    assert t.fixed_curve_genus == 9
-    assert t.fixed_curve_rational_components == 0
-
-
-def test_derive_kovalev_lee():
-    d = derive_kovalev_lee(NonSymplecticType(2, 2, 0))
-    assert d == {"b2": 5, "b3": 36, "rkK": 2}

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2tcs.cli import main
 
@@ -130,6 +133,26 @@ def test_match_rank2_requires_bound(runner):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("theta,pair,bound", [
+    ("1/0pi", ("3.28", "3.28"), ["--bound", "1"]),
+    ("pi/0", ("3.28", "3.28"), ["--bound", "1"]),
+    ("1/0pi", ("3.21", "3.8_1_18"), []),
+    ("-pi/0", ("3.21", "3.8_1_18"), []),
+])
+def test_match_zero_denominator_angle(runner, theta, pair, bound):
+    result = invoke(runner, "match", "--plus", pair[0], "--minus", pair[1],
+                    "--theta", theta, *bound)
+    assert result.exit_code == 4
+    assert repr(theta) in result.stderr and "zero denominator" in result.stderr
+
+
+def test_match_reports_an_inadmissible_angle_before_the_bound(runner):
+    result = invoke(runner, "match", "--plus", "3.28", "--minus", "3.28",
+                    "--theta", "1/5pi")
+    assert result.exit_code == 4
+    assert "'1/5pi' is not one of the seven admissible" in result.stderr
+
+
 def test_match_unknown_block(runner):
     result = invoke(runner, "match", "--plus", "nosuch",
                     "--minus", "3.28", "--theta", "1/6pi")
@@ -199,6 +222,11 @@ def test_invariants_rejects_non_integer_entries(runner, tmp_path, bad):
     ({"plus": ["3.22_3"], "minus": "3.23_6", "theta": "1/4pi",
       "pushout": [[6, 3, 3], [3, 2, 4], [3, 4, 2]]}, "'plus'"),
     ([["3.22_3", "3.23_6"]], "JSON object"),
+    (None, "got null"),
+    ("3.22_3", "got string"),
+    (3, "got number"),
+    (True, "got boolean"),
+    ([], "got array"),
 ])
 def test_invariants_malformed_document(runner, tmp_path, doc, field):
     path = _write_config(tmp_path, doc)
@@ -207,6 +235,9 @@ def test_invariants_malformed_document(runner, tmp_path, doc, field):
     assert field in result.stderr
 
 
+PUSHOUT_DOC = {
+    "plus": "3.22_3", "minus": "3.23_6", "theta": "1/4pi",
+    "pushout": [[6, 3, 3], [3, 2, 4], [3, 4, 2]]}
 GLUE_DOC = {
     "plus": "3.23_8", "minus": "3.11", "theta": "1/4pi",
     "base_gram": [[196, 0, 98], [0, -98, 0], [98, 0, 98]],
@@ -223,6 +254,10 @@ GLUE_DOC = {
     ("base_gram", [196, None, 98]),
     ("base_gram", [196, True, 98]),
     ("plus_basis", [0.5, "8/49", "0"]),
+    ("plus_basis", ["9/49", "3/0", "0"]),
+    ("minus_basis", ["0", "-1/0", "3/14"]),
+    ("base_gram", [196, "3/0", 98]),
+    ("base_gram", [196, "x", 98]),
 ])
 def test_invariants_rejects_malformed_glue_entries(runner, tmp_path, field,
                                                     row):
@@ -235,6 +270,16 @@ def test_invariants_rejects_malformed_glue_entries(runner, tmp_path, field,
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("theta", ["pi/0", "1/0pi"])
+def test_invariants_zero_denominator_angle(runner, tmp_path, theta):
+    path = _write_config(tmp_path, {
+        "plus": "3.22_3", "minus": "3.23_6", "theta": theta,
+        "pushout": [[6, 3, 3], [3, 2, 4], [3, 4, 2]]})
+    result = invoke(runner, "invariants", "--config", path)
+    assert result.exit_code == 4
+    assert repr(theta) in result.stderr and "zero denominator" in result.stderr
+
+
 def test_invariants_glue_entries_may_be_integers(runner, tmp_path):
     doc = json.loads(json.dumps(GLUE_DOC))
     doc["plus_basis"][0][2] = 0
@@ -243,6 +288,54 @@ def test_invariants_glue_entries_may_be_integers(runner, tmp_path):
                     "--format", "json")
     assert result.exit_code == 0
     assert json.loads(result.output)["b3"] == 49
+
+
+_ENTRY = st.one_of(
+    st.integers(-8, 8), st.floats(), st.booleans(), st.none(),
+    st.sampled_from(["1/2", "9/49", "-1/14", "3/0", "-1/0", "x", ""]))
+_VALUE = st.recursive(_ENTRY, lambda inner: st.lists(inner, max_size=4),
+                      max_leaves=12)
+_MATRIX = st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+# Symmetric integer matrices get past the field checks to the pipeline.
+_GRAM = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.integers(-8, 8), min_size=n * n, max_size=n * n).map(
+        lambda xs: [[xs[min(i, j) * n + max(i, j)] for j in range(n)]
+                    for i in range(n)]))
+_IDS = st.sampled_from(["3.22_3", "3.23_6", "3.23_8", "3.11", "3.21",
+                        "3.8_1_18", "3.28", "nosuch"])
+_FIELD_VALUES = {
+    "plus": st.one_of(_IDS, _VALUE),
+    "minus": st.one_of(_IDS, _VALUE),
+    "theta": st.one_of(st.sampled_from([
+        "1/4pi", "-1/4pi", "1/6pi", "pi/2", "1/0pi", "pi/0", "-pi/0",
+        "1/5pi"]), _VALUE),
+}
+_FIELD_VALUES.update(dict.fromkeys(
+    ["pushout", "base_gram", "plus_basis", "minus_basis"],
+    st.one_of(_GRAM, _MATRIX, _VALUE)))
+_DOCUMENT = st.fixed_dictionaries({}, optional=_FIELD_VALUES)
+# A working document with one field replaced.
+_CHANGED = st.sampled_from(sorted(_FIELD_VALUES)).flatmap(
+    lambda name: st.tuples(st.just(name), _FIELD_VALUES[name]))
+_MUTANT = st.builds(lambda doc, change: {**doc, change[0]: change[1]},
+                    st.sampled_from([PUSHOUT_DOC, GLUE_DOC]), _CHANGED)
+# Words a user should never see: a traceback, a Fraction repr, a Python
+# type or an exception class ("list" is left out: "a list of rows" is
+# English).
+_LEAK = re.compile(r"Traceback|Fraction\(|<class|\b(NoneType|str|int|float"
+                   r"|bool|dict|tuple)\b|\w+(Error|Exception)\b")
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.one_of(_MUTANT, _DOCUMENT, _VALUE))
+def test_invariants_fuzzed_documents(tmp_path_factory, doc):
+    path = _write_config(tmp_path_factory.getbasetemp(), doc)
+    result = CliRunner().invoke(main, ["invariants", "--config", path])
+    assert result.exit_code in (0, 3, 4), result.output
+    assert result.exception is None or isinstance(result.exception,
+                                                  SystemExit)
+    assert not _LEAK.search(result.output), result.output
 
 
 def test_invariants_missing_file(runner):

@@ -5,12 +5,10 @@ import pytest
 from g2tcs.configuration import (ConfigurationError, GluingAngle,
                                  admissible_angle, configuration_angles,
                                  d_theta, feasibility_cone_check,
-                                 infer_family, is_pure_angle, lambda_lattices,
+                                 infer_family, is_pure_angle,
                                  make_configuration, parse_theta,
                                  pushout_from_glue, rank1_pushout,
                                  validate_configuration)
-from g2tcs.exact import RationalMatrix, smith_normal_form
-from g2tcs.lattices import GramLattice
 
 
 # ------------------------------------------------------------------- angles
@@ -23,6 +21,9 @@ def test_parse_theta():
         parse_theta("0.25pi")
     with pytest.raises(ConfigurationError):
         parse_theta("1/5pi")
+    for text in ("1/0pi", "pi/0", "-0/0pi"):
+        with pytest.raises(ConfigurationError, match="zero denominator"):
+            parse_theta(text)
 
 
 def test_infer_family():
@@ -199,15 +200,3 @@ def test_pushout_from_glue_reproduces_degenerate_presentation():
 def test_pushout_from_glue_rejects_fractional_pairing():
     with pytest.raises(ValueError):
         pushout_from_glue([[2]], [[F(1, 2)]], [[1]])
-
-
-# ------------------------------------------------------------------ lambdas
-
-def test_lambda_lattices(example_configs):
-    cfg, _ = example_configs["8.7"]
-    lam_plus, lam_minus = lambda_lattices(cfg)
-    assert lam_plus.rank == 2
-    D, _P, _Q, _Pinv = smith_normal_form([list(r) for r in lam_plus.gram])
-    # elementary divisors of the Gram give discriminant group Z/2 + Z/16
-    diag = sorted(abs(D[i][i]) for i in range(lam_plus.rank))
-    assert diag == [2, 16]

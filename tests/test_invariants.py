@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from g2tcs.configuration import make_configuration
+import g2tcs.configuration
+from g2tcs.configuration import make_configuration, validate_configuration
+from g2tcs.fixtures import EXAMPLES
 from g2tcs.invariants import (UnsupportedAngle, betti, compare_2connected,
                               full_report, linking_forms_equivalent,
                               nu_bar, p_divisor, pure_angle_torsion,
@@ -22,10 +24,22 @@ def test_full_report_matches_expected(example_reports):
         assert report.nu == (nb + 24) % 48, name
 
 
-def test_nu_signed_range(example_reports):
-    for name, (report, _expected) in example_reports.items():
-        assert -24 < report.nu_signed <= 24, name
-        assert report.nu_signed % 48 == report.nu % 48, name
+def test_full_report_reuses_the_validation(catalog, monkeypatch):
+    # Validation makes two Sturm counts; a second validation would make two
+    # more.
+    calls = []
+    sturm = g2tcs.configuration.sturm_count_roots
+
+    def counted(*args):
+        calls.append(args)
+        return sturm(*args)
+    monkeypatch.setattr(g2tcs.configuration, "sturm_count_roots", counted)
+    plus, minus, theta, rows, _expected = EXAMPLES["8.7"]
+    cfg = make_configuration(catalog.get(plus), catalog.get(minus), theta,
+                             [list(r) for r in rows])
+    assert validate_configuration(cfg).ok
+    full_report(cfg)
+    assert len(calls) == 2
 
 
 def test_betti_agrees_with_report(example_configs, example_reports):

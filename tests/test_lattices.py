@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2tcs.exact import RationalMatrix
+from g2tcs.exact import RationalMatrix, int_det
 from g2tcs.lattices import (GramLattice, cokernel_presentation,
                             discriminant_form, even_dual_kernel,
-                            overlattice_from_glue, quotient_by_2torsion,
+                            quotient_by_2torsion,
                             radical_and_quotient, saturated_sum, signature)
 
 
@@ -183,21 +183,25 @@ def test_quotient_by_2torsion_doubles_pairing():
 
 # -------------------------------------------------------------- overlattice
 
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def test_overlattice_from_glue():
     base = sym([[196, 0, 98], [0, -98, 0], [98, 0, 98]])
-    over = overlattice_from_glue(
-        base, [[F(9, 49), F(8, 49), 0], [0, F(3, 14), F(5, 14)]])
+    over = saturated_sum(base, _identity_rows(3) + [
+        [F(9, 49), F(8, 49), 0], [0, F(3, 14), F(5, 14)]])
     assert over.rank == 3
     assert over.is_even()
     # index of the base in the overlattice is 49 * 14; the determinant
     # shrinks by the square of the index: -98^3 / (49 * 14)^2 = -2
-    assert over.determinant() == -2
+    assert int_det(over.gram) == -2
     assert signature(over) == signature(base)
 
 
 def test_overlattice_rejects_bad_glue():
     with pytest.raises(ValueError):
-        overlattice_from_glue(sym([[2]]), [[F(1, 2)]])
+        saturated_sum(sym([[2]]), _identity_rows(1) + [[F(1, 2)]])
 
 
 def test_saturated_sum_rejects_fractional_pairings():

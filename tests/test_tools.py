@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import g2tcs
@@ -13,3 +15,65 @@ def test_gen_catalog_reproduces_the_shipped_catalog():
     spec.loader.exec_module(gen_catalog)
     shipped = Path(g2tcs.__file__).parent / "data" / "catalog.json"
     assert gen_catalog.render().encode() == shipped.read_bytes()
+
+
+SRC = Path(g2tcs.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Screen predicates that only tests/test_cross_screen.py calls: it checks
+# them against the Fraction screen, as the reference for ``blocks``.
+UNUSED_ALLOWED = {"search._CrossScreen.is_pure",
+                  "search._CrossScreen.is_singular"}
+
+
+def _definitions(tree):
+    """(qualified name, name, first line, last line) of each module-level
+    function or class and each method, less dunders and click commands."""
+    def exempt(node):
+        return (node.name.startswith("__") and node.name.endswith("__")) or any(
+            isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+            and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        members = [(f"{node.name}.{m.name}", m) for m in node.body
+                   if isinstance(m, defs)] if isinstance(node, ast.ClassDef) else []
+        for qualname, item in [(node.name, node)] + members:
+            if not exempt(item):
+                first = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                yield qualname, item.name, first, item.end_lineno
+
+
+def test_every_src_definition_has_a_caller():
+    """Each definition in src/g2tcs is named outside its own body: in the
+    package, in ``g2tcs.__all__`` or in the benchmark's spans or workloads.
+    A name used only inside definitions that are themselves unused counts
+    as unused. Uses are matched by name alone, so same-named methods of
+    two classes share theirs."""
+    defs, uses = [], []  # (file, qualified name, name, first, last line)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs += [(path.name, f"{path.stem}.{q}", name, first, last)
+                 for q, name, first, last in _definitions(tree)]
+        uses += [(path.name, n.lineno, n.id if isinstance(n, ast.Name) else n.attr)
+                 for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
+    outside = set(g2tcs.__all__)
+    for name in ("spans.py", "workloads.py"):
+        outside |= set(re.findall(r"\w+", (PERFBENCH / name).read_text()))
+
+    def inside(fname, line, bodies):
+        return any(f == fname and first <= line <= last for f, first, last in bodies)
+
+    dead = set()
+    while True:
+        dead_bodies = [(f, first, last) for f, q, _n, first, last in defs if q in dead]
+        newly = {q for f, q, name, first, last in defs if q not in dead
+                 and name not in outside and not any(
+                     n == name and not inside(uf, line, [(f, first, last)] + dead_bodies)
+                     for uf, line, n in uses)}
+        if not newly:
+            break
+        dead |= newly
+    unused = sorted(dead - UNUSED_ALLOWED)
+    assert not unused, "no caller: " + ", ".join(unused)

@@ -168,7 +168,7 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
         raise
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of too many digits
         raise CatalogError(f"catalog {path!r} is not valid JSON: "
                            f"{exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != \

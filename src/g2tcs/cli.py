@@ -5,6 +5,7 @@ error, 4 validation error.
 """
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -230,14 +231,11 @@ _JSON_TYPES = {type(None): "null", bool: "boolean", int: "number",
 
 
 def _is_exact(x) -> bool:
-    """Whether x is an int or a string that Fraction reads exactly."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        return False
-    try:
-        Fraction(x)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
+    """Whether x is an int or a string "[-]p" or "[-]p/q" with q != 0."""
+    if type(x) is int:
+        return True
+    match = isinstance(x, str) and re.fullmatch(r"-?[0-9]+(?:/([0-9]+))?", x)
+    return bool(match) and (match.group(1) or "1").strip("0") != ""
 
 
 def _check_config_fields(doc):
@@ -286,7 +284,7 @@ def invariants(ctx, config_path, fmt):
             doc = json.load(fh)
     except FileNotFoundError:
         _fail(EXIT_IO, f"config not found: {config_path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of too many digits
         _fail(EXIT_VALIDATION, f"bad config document: {exc}")
     _check_config_fields(doc)
     try:

@@ -8,6 +8,12 @@ pushout presentation on the concatenated bases of N+ and N-.
 
 All angles are exact rational multiples of pi; cosines enter only
 through the rational values cos^2(theta) and cos(2 psi).
+
+The gluing angle is read off one integer matrix per configuration, the
+pencil N+ = adj(G+) C adj(G-) C^T = s m+, s = det G+ det G- (``Pencil``):
+its charpoly, eigenspaces and kernels decide validation, angles,
+d_theta, purity and feasibility in integers; Fractions are left to the
+reported cosines and the feasibility solve.
 """
 
 from __future__ import annotations
@@ -20,12 +26,9 @@ from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .catalog import BuildingBlock
-from .exact import (
-    RationalMatrix,
-    clear_denominators,
-    rational_roots,
-    sturm_count_roots,
-)
+from .exact import (IntMatrix, RationalMatrix, adjugate, int_charpoly,
+                    int_det, int_matmul, integer_kernel, integer_roots,
+                    sturm_count_roots, transpose)
 from .lattices import (
     GramLattice,
     radical_and_quotient,
@@ -114,7 +117,7 @@ class GluingAngle:
             raise ConfigurationError(
                 "angle parity violated: 2k and b_plus + b_minus must have "
                 "equal parity")
-        if self.orientation not in (1, -1):
+        if type(self.orientation) is not int or abs(self.orientation) != 1:
             raise ConfigurationError("orientation must be +1 or -1")
 
     @property
@@ -211,16 +214,42 @@ def per_configuration(fn):
 
 
 @dataclass(frozen=True)
+class Pencil:
+    """The gluing angle of a configuration as integer matrices.
+
+    pi+ = G+^-1 C = AC / det G+ and pi- = G-^-1 C^T = BCt / det G-, so
+    N = (AC BCt, BCt AC) = s (m+, m-) for m± = pi± pi∓, s = det G+ det G-.
+    The eigenvalues of m+ are y / s for the roots y of the monic integer
+    charpoly(N+), so the rational ones have integer y. ``roots`` holds the
+    y between 0 and s as (y, multiplicity) by ascending y / s, and
+    ``cofactor`` is the rest of the charpoly.
+    """
+
+    det_plus: int
+    det_minus: int
+    AC: IntMatrix
+    BCt: IntMatrix
+    N: Tuple[IntMatrix, IntMatrix]
+    roots: Tuple[Tuple[int, int], ...]
+    cofactor: Tuple[int, ...]
+
+    @property
+    def s(self) -> int:
+        return self.det_plus * self.det_minus
+
+
+@dataclass(frozen=True)
 class Configuration:
     """A gluing configuration: two blocks, an angle, a pushout Gram.
 
     The pushout is the (rho+ + rho-)-dimensional Gram matrix of the
     concatenated bases of N+ and N- inside the K3 lattice; it may be
     degenerate when the two sublattices intersect. Its derived data (the
-    radical and quotient, the projections and side compositions, the
-    characteristic polynomial and eigenspaces of pi+ pi-, the validation
-    report, the boundary presentation) are computed once, on first use, by
-    the functions marked ``per_configuration``.
+    radical and quotient, the integer pencil with its eigenspaces, the
+    validation report, the boundary presentation) are computed once, on
+    first use, by the functions marked ``per_configuration``.
+    ``projections`` and ``side_compositions`` give pi± and m± as rational
+    matrices; nothing in the package calls them.
     """
 
     plus: BuildingBlock
@@ -236,13 +265,10 @@ class Configuration:
     def rho_minus(self) -> int:
         return self.minus.rank
 
-    def cross_block(self) -> RationalMatrix:
+    def cross_block(self) -> IntMatrix:
         """The rho+ x rho- cross pairing block C of the pushout."""
         rp = self.rho_plus
-        return RationalMatrix([
-            [self.pushout.gram[i][rp + j] for j in range(self.rho_minus)]
-            for i in range(rp)
-        ])
+        return [list(row[rp:]) for row in self.pushout.gram[:rp]]
 
     @functools.cached_property
     def _memo(self) -> dict:
@@ -261,7 +287,7 @@ class Configuration:
         pi_plus = G+^{-1} C maps N- coordinates to N+ coordinates and
         vice versa for pi_minus = G-^{-1} C^T.
         """
-        C = self.cross_block()
+        C = RationalMatrix(self.cross_block())
         Gp = self.plus.N.matrix()
         Gm = self.minus.N.matrix()
         return Gp.inverse() * C, Gm.inverse() * C.transpose()
@@ -271,6 +297,24 @@ class Configuration:
         """(pi+ o pi-, pi- o pi+) acting on N+ resp. N- coordinates."""
         pp, pm = self.projections()
         return pp * pm, pm * pp
+
+    @per_configuration
+    def pencil(self) -> Pencil:
+        """The integer pencil of the gluing angle (see ``Pencil``)."""
+        Gp, Gm = self.plus.N.gram, self.minus.N.gram
+        det_plus, det_minus = int_det(Gp), int_det(Gm)
+        if det_plus == 0 or det_minus == 0:
+            raise ValueError("matrix is singular")
+        C = self.cross_block()
+        AC = int_matmul(adjugate(Gp), C)
+        BCt = int_matmul(adjugate(Gm), transpose(C))
+        s = det_plus * det_minus
+        N = (int_matmul(AC, BCt), int_matmul(BCt, AC))
+        roots, cofactor = integer_roots(int_charpoly(N[0]),
+                                        min(0, s), max(0, s))
+        return Pencil(det_plus, det_minus, AC, BCt, N,
+                      tuple(sorted(roots, key=lambda r: r[0] * s)),
+                      tuple(cofactor))
 
     def pi1(self) -> str:
         return admissible_angle(self.plus.kind, self.minus.kind,
@@ -343,29 +387,34 @@ class ValidationReport:
 
 
 @per_configuration
-def _plus_charpoly(cfg: Configuration) -> List[Fraction]:
-    """Characteristic polynomial of m+ = pi+ pi- on N+."""
-    return cfg.side_compositions()[0].charpoly()
+def _eigenspace(cfg: Configuration, side: int, y: int) -> List[List[int]]:
+    """Integer basis of the y/s-eigenspace of m+ on N+ (side 0) or of m-
+    on N- (side 1): the kernel of N+ - y I resp. N- - y I."""
+    N = cfg.pencil().N[side]
+    return integer_kernel([[x - y * (i == j) for j, x in enumerate(row)]
+                           for i, row in enumerate(N)])
 
 
-@per_configuration
-def _eigenspace(cfg: Configuration, side: int,
-                c: Fraction) -> List[List[Fraction]]:
-    """Basis of the c-eigenspace of pi+ pi- on N+ (side 0) or of
-    pi- pi+ on N- (side 1)."""
-    M = cfg.side_compositions()[side]
-    return (M - RationalMatrix.identity(M.nrows).scaled(c)).nullspace()
+def _cos_squared_space(cfg: Configuration, side: int,
+                       c: Fraction) -> List[List[int]]:
+    """Integer basis of the c-eigenspace of m+ (side 0) or m- (side 1);
+    empty unless y = s c is an integer."""
+    y, rem = divmod(c.numerator * cfg.pencil().s, c.denominator)
+    return [] if rem else _eigenspace(cfg, side, y)
 
 
-def _eigenvalues_in_unit_interval(p: Sequence[Fraction]) -> bool:
-    """True when all real roots of the polynomial p lie in [0, 1]."""
-    bound = 1 + max((abs(c) for c in p), default=Fraction(1))
-    above = sturm_count_roots(p, Fraction(1), bound)
-    # Sturm counts roots in (a, b]; drop an allowed root at exactly 0.
-    below = sturm_count_roots(p, -bound, Fraction(0))
-    if below and p[-1] == 0:
-        below -= 1
-    return above == 0 and below == 0
+def _roots_between_0_and_s(pencil: Pencil) -> bool:
+    """True when every real root of charpoly(N+) lies between 0 and s,
+    that is every eigenvalue of m+ in [0, 1]. The integer roots there
+    are split off already; Sturm counts decide the cofactor."""
+    q = pencil.cofactor
+    if len(q) == 1:
+        return True
+    lo, hi = sorted((0, pencil.s))
+    bound = 1 + max(abs(c) for c in q)
+    # Sturm counts roots in (a, b]; q has no root at lo or hi.
+    return (sturm_count_roots(q, -bound, lo) == 0
+            and sturm_count_roots(q, hi, bound) == 0)
 
 
 @per_configuration
@@ -398,7 +447,7 @@ def validate_configuration(cfg: Configuration) -> ValidationReport:
             problems.append(
                 f"signature must be (2, rk-2); quotient has "
                 f"({pos}, {neg}, {zero})")
-        if not _eigenvalues_in_unit_interval(_plus_charpoly(cfg)):
+        if not _roots_between_0_and_s(cfg.pencil()):
             problems.append("eigenvalues of pi+ pi- must lie in [0, 1]")
         if reduced.rank > 11:
             flags.append("rank > 11: primitive embedding into the K3 "
@@ -409,21 +458,25 @@ def validate_configuration(cfg: Configuration) -> ValidationReport:
 def angle_eigenspaces(cfg: Configuration, cos_squared: Fraction):
     """Eigenspace bases of the side compositions for one eigenvalue.
 
-    Returns (plus_basis, minus_basis, multiplicity): exact rational bases
-    of the cos^2(psi)-eigenspaces of pi+ pi- on N+ and of pi- pi+ on N-,
-    and the plus-side dimension (the two agree for nonzero cos^2(psi)).
+    Returns (plus_basis, minus_basis, multiplicity): saturated integer
+    bases of the cos^2(psi)-eigenspaces of pi+ pi- on N+ and of pi- pi+
+    on N- (the kernels of N± - s cos^2(psi) I of the pencil), and the
+    plus-side dimension (the two agree for nonzero cos^2(psi)).
     """
     c = Fraction(cos_squared)
-    plus = _eigenspace(cfg, 0, c)
-    return plus, _eigenspace(cfg, 1, c), len(plus)
+    plus = _cos_squared_space(cfg, 0, c)
+    return plus, _cos_squared_space(cfg, 1, c), len(plus)
 
 
 def is_pure_angle(cfg: Configuration) -> bool:
-    """True when both side compositions equal cos^2(theta) times identity."""
+    """True when both side compositions equal cos^2(theta) times identity,
+    that is den N± = num s I for cos^2(theta) = num / den."""
     c = cfg.angle.cos_squared
-    Mp, Mm = cfg.side_compositions()
-    return (Mp == RationalMatrix.identity(Mp.nrows).scaled(c)
-            and Mm == RationalMatrix.identity(Mm.nrows).scaled(c))
+    pencil = cfg.pencil()
+    diagonal = c.numerator * pencil.s
+    return all(c.denominator * x == diagonal * (i == j)
+               for N in pencil.N for i, row in enumerate(N)
+               for j, x in enumerate(row))
 
 
 def d_theta(cfg: Configuration) -> int:
@@ -431,14 +484,13 @@ def d_theta(cfg: Configuration) -> int:
 
     For nonzero cos(theta) this is the dimension of the cos^2(theta)
     eigenspace; for theta = pi/2 it is the number of N+ directions
-    orthogonal to all of N- plus the number of N- directions orthogonal
-    to all of N+.
+    orthogonal to all of N- (the kernel of C^T) plus the number of N-
+    directions orthogonal to all of N+ (the kernel of C).
     """
     if cfg.angle.cos_squared == 0:
         C = cfg.cross_block()
-        return ((cfg.rho_plus - C.rank())
-                + (cfg.rho_minus - C.transpose().rank()))
-    return len(_eigenspace(cfg, 0, cfg.angle.cos_squared))
+        return len(integer_kernel(transpose(C))) + len(integer_kernel(C))
+    return len(_cos_squared_space(cfg, 0, cfg.angle.cos_squared))
 
 
 # ------------------------------------------------------------------ angles
@@ -459,17 +511,11 @@ class AngleSpectrum:
     alpha_minus: Tuple[Tuple[Fraction, int], ...]
 
 
-def _restricted_signature(G: RationalMatrix,
-                          basis: Sequence[Sequence[Fraction]]):
-    """Signature of a form restricted to the span of rational vectors."""
-    k = len(basis)
-    rows = []
-    for u in basis:
-        gu = G.mul_vector(u)
-        rows.append([sum(a * b for a, b in zip(v, gu)) for v in basis])
-    # Clear denominators so the integer signature routine applies.
-    _d, int_rows = clear_denominators(rows)
-    return signature(GramLattice.from_rows(int_rows))
+def _restricted_signature(gram: Sequence[Sequence[int]],
+                          basis: Sequence[Sequence[int]]):
+    """Signature of an integer form on the span of integer vectors."""
+    return signature(GramLattice.from_rows(
+        int_matmul(int_matmul(basis, gram), transpose(basis))))
 
 
 def configuration_angles(cfg: Configuration) -> AngleSpectrum:
@@ -479,7 +525,9 @@ def configuration_angles(cfg: Configuration) -> AngleSpectrum:
     nondegenerate pushout quotient is fixed by the principal angles
     between N+ and N- (Jordan 1875; Halmos, "Two subspaces", 1969), that
     is by the eigenvalues c of m+ = pi+ pi- = G+^-1 C G-^-1 C^T on N+,
-    which must be rational with eigenspaces E_c of full dimension:
+    which must be rational with eigenspaces E_c of full dimension. They
+    are read off the integer pencil: c = y / s for the integer roots y of
+    charpoly(N+), with E_c = ker(N+ - y I) (see ``Pencil``).
 
     - c = 0: E_c (with the kernel of m- = pi- pi+ on N-) is where
       M = -Id, angle pi;
@@ -494,48 +542,45 @@ def configuration_angles(cfg: Configuration) -> AngleSpectrum:
     pi, then 0, then the pairs by ascending cosine; the orthogonal
     complement of the pushout in the K3 lattice contributes angle 0 with
     signature (1, 21 - rk). Irrational angles, eigenvalues outside
-    [0, 1] and defective or degenerate eigenspaces raise ArithmeticError.
+    [0, 1] (both leave a cofactor of positive degree) and defective or
+    degenerate eigenspaces raise ArithmeticError.
     """
-    roots, remainder = rational_roots(_plus_charpoly(cfg))
-    if len(remainder) > 1:
+    pencil = cfg.pencil()
+    if len(pencil.cofactor) > 1:
         raise ArithmeticError("algebraic angles unsupported")
-    Gp = cfg.plus.N.matrix()
-    pp, pm = cfg.projections()
+    s = pencil.s
+    C = cfg.cross_block()
     pi_pos = pi_neg = zero_pos = zero_neg = 0
     pairs_plus: List[Tuple[Fraction, int]] = []
     pairs_minus: List[Tuple[Fraction, int]] = []
     accounted = 0
-    for c, mult in sorted(roots):
-        if not 0 <= c <= 1:
-            raise ArithmeticError("composed reflection has a real "
-                                  "eigenvalue other than +-1")
-        space = _eigenspace(cfg, 0, c)
+    for y, mult in pencil.roots:
+        space = _eigenspace(cfg, 0, y)
         if len(space) != mult:
             raise ArithmeticError("composed reflection is not semisimple")
-        pos, neg, zero = _restricted_signature(Gp, space)
+        pos, neg, zero = _restricted_signature(cfg.plus.N.gram, space)
         if zero:
             raise ArithmeticError("degenerate eigenspace; invariant "
                                   "violation")
-        if c == 0:
-            # M = -Id on E_0 only when E_0 is orthogonal to all of N-.
-            if any(any(pm.mul_vector(x)) for x in space):
+        if y == 0:
+            # M = -Id on E_0 only when E_0 is orthogonal to N-: C^T x = 0.
+            if any(any(row) for row in int_matmul(space, C)):
                 raise ArithmeticError("composed reflection is not "
                                       "semisimple")
             pi_pos, pi_neg = pos, neg
             accounted += mult
-        elif c == 1:
+        elif y == s:
             zero_pos, zero_neg = pos, neg
             accounted += mult
         else:
-            cos_a = 2 * c - 1
+            cos_a = Fraction(2 * y - s, s)
             pairs_plus.extend([(cos_a, 1), (cos_a, -1)] * pos)
             pairs_minus.extend([(cos_a, 1), (cos_a, -1)] * neg)
             accounted += 2 * mult
-    minus_kernel = _eigenspace(cfg, 1, Fraction(0))
-    if any(any(pp.mul_vector(y)) for y in minus_kernel):
+    minus_kernel = _eigenspace(cfg, 1, 0)
+    if any(any(row) for row in int_matmul(minus_kernel, transpose(C))):
         raise ArithmeticError("composed reflection is not semisimple")
-    pos, neg, zero = _restricted_signature(cfg.minus.N.matrix(),
-                                           minus_kernel)
+    pos, neg, zero = _restricted_signature(cfg.minus.N.gram, minus_kernel)
     if zero:
         raise ArithmeticError("degenerate eigenspace; invariant violation")
     pi_pos += pos
@@ -630,9 +675,9 @@ def _fourier_motzkin_strict(rows: List[List[Fraction]]) -> Optional[List[Fractio
     for r in rows:
         c = r[-1]
         if c > 0:
-            lower.append([-x / c for x in r[:-1]])   # t_k > lower(t')
+            lower.append([Fraction(-x, c) for x in r[:-1]])  # t_k > lower
         elif c < 0:
-            upper.append([-x / c for x in r[:-1]])   # t_k < upper(t')
+            upper.append([Fraction(-x, c) for x in r[:-1]])  # t_k < upper
         else:
             rest.append(r[:-1])
     projected = list(rest)
@@ -667,31 +712,29 @@ def _fourier_motzkin_strict(rows: List[List[Fraction]]) -> Optional[List[Fractio
 def feasibility_cone_check(cfg: Configuration):
     """Decide the ample-cone compatibility condition of the matching.
 
-    A common positive direction must exist: a vector of the
+    A common positive direction must exist: a vector v of the
     cos^2(theta)-eigenspace on the plus side with positive coordinates
-    whose (sign cos theta)-scaled projection to the minus side also has
-    positive coordinates. Returns (feasible, witness in N+ coordinates).
+    whose (sign cos theta)-scaled projection pi- v to the minus side also
+    has positive coordinates. With pi- = BCt / det G-, the rows
+    sign(det G-) (sign cos theta) BCt v are positive multiples of those
+    coordinates, so they decide the same strict system on the integer
+    eigenspace basis. Returns (feasible, witness in N+ coordinates).
     """
     if cfg.angle.cos_squared == 0:
         # Orthogonal gluing: the two ample cones impose no joint
         # condition; any ample class works on each side.
         return True, [Fraction(1)] * cfg.rho_plus
-    plus = _eigenspace(cfg, 0, cfg.angle.cos_squared)
+    plus = _cos_squared_space(cfg, 0, cfg.angle.cos_squared)
     if not plus:
         return False, None
-    eps = cfg.angle.epsilon
-    _pp, pm = cfg.projections()
-    S_cols = plus
-    rows: List[List[Fraction]] = []
-    for i in range(cfg.rho_plus):
-        rows.append([v[i] for v in S_cols])
-    for j in range(cfg.rho_minus):
-        rows.append([eps * sum(pm.rows[j][i] * v[i]
-                               for i in range(cfg.rho_plus))
-                     for v in S_cols])
+    pencil = cfg.pencil()
+    sign = cfg.angle.epsilon * (1 if pencil.det_minus > 0 else -1)
+    rows = transpose(plus)
+    rows += [[sign * x for x in row]
+             for row in transpose(int_matmul(plus, transpose(pencil.BCt)))]
     t = _fourier_motzkin_strict(rows)
     if t is None:
         return False, None
-    witness = [sum(v[i] * c for v, c in zip(S_cols, t))
+    witness = [sum(v[i] * c for v, c in zip(plus, t))
                for i in range(cfg.rho_plus)]
     return True, witness

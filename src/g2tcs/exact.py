@@ -6,12 +6,14 @@ the rest of the package:
 * ``RationalMatrix`` — a dense matrix of ``fractions.Fraction`` entries with
   exact Gaussian elimination (inverse, determinant, nullspace, rank) and a
   Faddeev–LeVerrier characteristic polynomial.
-* Integer matrix normal forms — Smith normal form with unimodular transforms
-  ``D = P A Q`` (and ``P^-1``), a canonical Hermite row basis for integer row lattices and
-  a fraction-free (Bareiss) determinant.
+* Integer matrices — Smith normal form with unimodular transforms
+  ``D = P A Q`` (and ``P^-1``), a canonical Hermite row basis for integer row
+  lattices, a fraction-free (Bareiss) determinant, the adjugate and an
+  integer characteristic polynomial.
 * Lattice utilities — intersections of integer row lattices and clearing
   the denominators of rational rows.
-* Polynomial helpers — exact rational-root extraction and a splitter for
+* Polynomial helpers — integer roots in an interval, exact rational-root
+  extraction, Sturm root counting and a splitter for
   palindromic products of factors ``x^2 - t x + 1`` (the shape produced by
   form-preserving involution products).
 
@@ -28,10 +30,6 @@ IntMatrix = List[List[int]]
 FracVector = List[Fraction]
 
 
-def _as_fraction_rows(rows: Iterable[Iterable]) -> List[FracVector]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 class RationalMatrix:
     """Dense matrix with exact rational entries.
 
@@ -40,7 +38,8 @@ class RationalMatrix:
     """
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.rows: List[FracVector] = _as_fraction_rows(rows)
+        self.rows: List[FracVector] = [[Fraction(x) for x in row]
+                                       for row in rows]
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
@@ -210,8 +209,9 @@ class RationalMatrix:
 
 
 def clear_denominators(rows: Iterable[Iterable]) -> Tuple[int, IntMatrix]:
-    """(d, d * rows) for the least d >= 1 making every entry an integer."""
-    rows = _as_fraction_rows(rows)
+    """(d, d * rows) for the least d >= 1 making every entry (an int or a
+    Fraction) an integer."""
+    rows = [list(row) for row in rows]
     d = lcm(1, *(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row]
                for row in rows]
@@ -264,6 +264,51 @@ def int_det(A: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1] if n else 1
 
 
+def adjugate(A: Sequence[Sequence[int]]) -> IntMatrix:
+    """Adjugate of a square integer matrix: adj(A) A = A adj(A) = det(A) I.
+
+    Entry (i, j) is the cofactor of A at (j, i), an ``int_det`` minor.
+    """
+    n = len(A)
+    return [[(-1) ** (i + j) * int_det([row[:i] + row[i + 1:]
+                                        for k, row in enumerate(A) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
+def transpose(A: Sequence[Sequence[int]]) -> IntMatrix:
+    return [list(col) for col in zip(*A)]
+
+
+def int_matmul(A: Sequence[Sequence[int]],
+               B: Sequence[Sequence[int]]) -> IntMatrix:
+    """The product A B of integer matrices given by their rows."""
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols]
+            for row in A]
+
+
+def int_charpoly(A: Sequence[Sequence[int]]) -> List[int]:
+    """Monic characteristic polynomial of a square integer matrix,
+    coefficients highest degree first.
+
+    Faddeev–LeVerrier: M_k = A (M_{k-1} + c_{k-1} I), c_k = -tr(M_k) / k.
+    For an integer matrix every c_k is an integer, so each division is
+    exact; a remainder raises ArithmeticError.
+    """
+    n = len(A)
+    coeffs = [1]
+    M = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            M[i][i] += coeffs[-1]
+        M = int_matmul(A, M)
+        c, rem = divmod(-sum(M[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("inexact Faddeev-LeVerrier division")
+        coeffs.append(c)
+    return coeffs
+
+
 def smith_normal_form(
     A: IntMatrix,
 ) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
@@ -310,16 +355,11 @@ def smith_normal_form(
     t = 0
     while t < min(m, n):
         # find a pivot: nonzero entry of minimal absolute value in D[t:, t:]
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(D[i][j])
-                if v != 0 and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
+        best = min(((abs(D[i][j]), i, j) for i in range(t, m)
+                    for j in range(t, n) if D[i][j]), default=None)
+        if best is None:
             break
-        pi, pj = pivot
+        _, pi, pj = best
         if pi != t:
             row_op(t, pi, 0, 1, 1, 0)
         if pj != t:
@@ -350,14 +390,8 @@ def smith_normal_form(
             ):
                 break
         # enforce divisibility of the remaining block by D[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, m) if any(
+            D[i][j] % D[t][t] for j in range(t + 1, n))), None)
         if offender is not None:
             row_op(t, offender, 1, 1, 0, 1)  # add offending row to pivot row
             continue  # redo elimination at the same t
@@ -400,12 +434,9 @@ def hermite_row_basis(rows: IntMatrix) -> IntMatrix:
         if work[r][c] < 0:
             work[r] = [-x for x in work[r]]
         r += 1
-    work = [row for row in work[:r]]
+    work = work[:r]
     # back-reduce entries above pivots
-    pivots = []
-    for row in work:
-        pc = next(j for j, x in enumerate(row) if x != 0)
-        pivots.append(pc)
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in work]
     for i in range(len(work)):
         for k in range(i + 1, len(work)):
             pc = pivots[k]
@@ -475,7 +506,7 @@ def lattice_intersection(rows_a: IntMatrix, rows_b: IntMatrix) -> IntMatrix:
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+    acc = 0
     for c in coeffs:
         acc = acc * x + c
     return acc
@@ -495,65 +526,79 @@ def poly_divmod(coeffs: Sequence[Fraction], divisor: Sequence[Fraction]):
     return out, coeffs
 
 
+def _root_brackets(p: Sequence[int], lo: int, hi: int) -> set:
+    """Integers t in [lo, hi] with each real root of p in [lo, hi] inside
+    some [t, t + 1]. The derivative's brackets cut [lo, hi] into stretches
+    where p is monotone; a sign change there is narrowed by bisection, so
+    the work grows with the degree and the bit length of hi - lo only."""
+    n = len(p) - 1
+    if n < 1:
+        return set()
+    out = _root_brackets([c * (n - i) for i, c in enumerate(p[:-1])], lo, hi)
+    marks = sorted({lo, hi} | out | {min(t + 1, hi) for t in out})
+    for a, b in zip(marks, marks[1:]):
+        fa = poly_eval(p, a)
+        if fa and fa * poly_eval(p, b) > 0:
+            continue
+        while fa and b - a > 1:
+            m = (a + b) // 2
+            if fa * poly_eval(p, m) > 0:
+                a = m
+            else:
+                b = m
+        out.add(a)
+    return out | {hi} if poly_eval(p, hi) == 0 else out
+
+
+def integer_roots(coeffs: Sequence[int], lo: int, hi: int
+                  ) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Integer roots in [lo, hi] of an integer polynomial (coefficients
+    highest degree first): (roots, cofactor), the roots as ascending
+    (root, multiplicity) pairs and the polynomial left once each is divided
+    out by integer synthetic division."""
+    p = list(coeffs)
+    roots: List[Tuple[int, int]] = []
+    brackets = _root_brackets(p, lo, hi)
+    for y in sorted({b for t in brackets for b in (t, t + 1) if b <= hi}):
+        mult = 0
+        while len(p) > 1:
+            quotient = [p[0]]
+            for c in p[1:]:
+                quotient.append(quotient[-1] * y + c)
+            if quotient.pop():
+                break
+            p, mult = quotient, mult + 1
+        if mult:
+            roots.append((y, mult))
+    return roots, p
+
+
 def rational_roots(coeffs: Sequence[Fraction]) -> Tuple[List[Tuple[Fraction, int]], List[Fraction]]:
     """All rational roots (with multiplicity) of a rational polynomial.
+
+    With its denominators cleared, a x^n + b x^(n-1) + ... + z has the
+    roots y / a for the integer roots y of the monic
+    y^n + b y^(n-1) + ... + z a^(n-1), all within its Cauchy bound.
 
     Args:
         coeffs: coefficients, highest degree first.
 
     Returns:
         (roots, remainder) where roots is a list of (root, multiplicity) and
-        remainder is the rational-root-free cofactor polynomial.
+        remainder is the monic rational-root-free cofactor polynomial.
     """
-    coeffs = [Fraction(c) for c in coeffs]
-    # strip leading zeros
+    coeffs = list(coeffs)
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
     if not coeffs:
         return [], []
-    roots: List[Tuple[Fraction, int]] = []
-    # factor out x = 0 roots first
-    zero_mult = 0
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    # clear denominators for the rational root theorem
     _d, (ints,) = clear_denominators([coeffs])
-    if len(ints) == 1:
-        return roots, coeffs
-    lead, const = ints[0], ints[-1]
-
-    def divisors(v: int):
-        v = abs(v)
-        out = set()
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.add(d)
-                out.add(v // d)
-            d += 1
-        return sorted(out)
-
-    candidates = []
-    for p in divisors(const):
-        for q in divisors(lead):
-            candidates.append(Fraction(p, q))
-            candidates.append(Fraction(-p, q))
-    seen = set()
-    for cand in candidates:
-        if cand in seen:
-            continue
-        seen.add(cand)
-        mult = 0
-        while poly_eval(coeffs, cand) == 0:
-            coeffs, rem = poly_divmod(coeffs, [Fraction(1), -cand])
-            assert all(r == 0 for r in rem)
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-    return roots, coeffs
+    a = ints[0]
+    monic = [1] + [c * a ** i for i, c in enumerate(ints[1:])]
+    bound = max(abs(c) for c in monic) + 1
+    roots, cofactor = integer_roots(monic, -bound, bound)
+    return ([(Fraction(y, a), mult) for y, mult in roots],
+            [Fraction(c, a ** i) for i, c in enumerate(cofactor)])
 
 
 def palindromic_quadratic_split(

@@ -16,6 +16,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .configuration import (
+    ANGLE_PI,
     AngleSpectrum,
     Configuration,
     configuration_angles,
@@ -24,7 +25,7 @@ from .configuration import (
     per_configuration,
     validate_configuration,
 )
-from .exact import clear_denominators, lattice_intersection
+from .exact import int_matmul, lattice_intersection, transpose
 from .lattices import (
     CokernelPresentation,
     FiniteAbelianGroup,
@@ -37,6 +38,9 @@ from .lattices import (
 )
 
 TORSION_ANGLES = (Fraction(1, 2), Fraction(3, 4))  # cos^2 of pi/4, pi/6
+# cos(|rho| pi) for rho = 1 - 2 theta (in units of pi) in nu_bar.
+COS_RHO = {Fraction(1, 2): Fraction(0), Fraction(1, 3): Fraction(1, 2),
+           Fraction(2, 3): Fraction(-1, 2)}
 
 
 class UnsupportedAngle(ValueError):
@@ -116,49 +120,37 @@ def boundary_data(cfg: Configuration) -> BoundaryData:
     if c2 == Fraction(3, 4) and cfg.minus.kind != "involution":
         raise ValueError("hexagonal gluing needs involution blocks on "
                          "both sides")
-    Gp = cfg.plus.N.matrix()
-    Gm = cfg.minus.N.matrix()
+    Gp, Gm = cfg.plus.N.gram, cfg.minus.N.gram
     C = cfg.cross_block()
     Bp = even_dual_kernel(cfg.plus.N)  # rows: domain basis in N+ coords
     if c2 == Fraction(1, 2):
         minus_rows = [[int(i == j) for j in range(rm)] for i in range(rm)]
-        minus_scale = Fraction(1)
         p_minus = [-v for v in cfg.minus.c2bar]
     else:
         minus_rows = even_dual_kernel(cfg.minus.N)
-        minus_scale = Fraction(3, 2)
         p_minus = [-v // 2 for v in cfg.minus.c2bar]
-    cols: List[List[Fraction]] = []
-    embed: List[List[int]] = []
-    labels: List[str] = []
-    for j, x in enumerate(Bp):
-        top = [v / 2 for v in Gp.mul_vector(x)]
-        bottom = C.transpose().mul_vector(x)
-        cols.append(top + bottom)
-        embed.append(list(x) + [0] * rm)
-        labels.append(f"x{j + 1}")
-    for j, y in enumerate(minus_rows):
-        top = C.mul_vector(y)
-        bottom = [v * minus_scale for v in Gm.mul_vector(y)]
-        cols.append(top + bottom)
-        embed.append([0] * rp + list(y))
-        labels.append(f"y{j + 1}")
-    matrix_rows: List[List[int]] = []
-    for i in range(rp + rm):
-        row = []
-        for col in cols:
-            v = col[i]
-            if v.denominator != 1:
-                raise ArithmeticError(
-                    "boundary matrix entry is not integral; invariant "
-                    "violation")
-            row.append(int(v))
-        matrix_rows.append(row)
+
+    def halved(column, factor=1):
+        # The 1/2 and 3/2 scales of the columns, for an even column only.
+        if any(v % 2 for v in column):
+            raise ArithmeticError("boundary matrix entry is not integral; "
+                                  "invariant violation")
+        return [factor * v // 2 for v in column]
+    # Rows x^T G+ = (G+ x)^T, x^T C = (C^T x)^T, and so on.
+    cols = [halved(top) + bottom for top, bottom
+            in zip(int_matmul(Bp, Gp), int_matmul(Bp, C))]
+    cols += [top + (bottom if c2 == Fraction(1, 2) else halved(bottom, 3))
+             for top, bottom in zip(int_matmul(minus_rows, transpose(C)),
+                                    int_matmul(minus_rows, Gm))]
+    embed = ([list(x) + [0] * rm for x in Bp]
+             + [[0] * rp + list(y) for y in minus_rows])
+    labels = ([f"x{j + 1}" for j in range(len(Bp))]
+              + [f"y{j + 1}" for j in range(len(minus_rows))])
     p_class = tuple([v // 2 for v in cfg.plus.c2bar] + list(p_minus))
     codomain = tuple([f"a{i + 1}*" for i in range(rp)]
                      + [f"n{i + 1}*" for i in range(rm)])
     return BoundaryData(
-        matrix=tuple(tuple(r) for r in matrix_rows),
+        matrix=tuple(zip(*cols)),
         p_class=p_class,
         domain_labels=tuple(labels),
         codomain_labels=codomain,
@@ -238,32 +230,37 @@ def pure_angle_torsion(cfg: Configuration) -> PureTorsion:
     if not is_pure_angle(cfg):
         raise ValueError("pure-angle shortcut requires a pure angle")
     rp, rm = cfg.rho_plus, cfg.rho_minus
-    pi_plus, pi_minus = cfg.projections()
-    gens = [[Fraction(int(i == j)) for j in range(rp)] for i in range(rp)]
-    for j in range(rm):
-        gens.append([2 * pi_plus.rows[i][j] for i in range(rp)])
-    lam = saturated_sum(cfg.plus.N, gens)
+    pencil = cfg.pencil()
+    det_plus, det_minus = pencil.det_plus, pencil.det_minus
+    # N+ + 2 pi+ N- with pi+ = AC / det G+, over the denominator det G+.
+    gens = [[det_plus * (i == j) for j in range(rp)] for i in range(rp)]
+    gens += [[2 * row[j] for row in pencil.AC] for j in range(rm)]
+    lam = saturated_sum(cfg.plus.N, gens, det_plus)
     delta = discriminant_form(GramLattice.from_rows(lam.gram))
     quotient = quotient_by_2torsion(delta)
-    # Free part: (s pi- N+) intersect N-, s = 1 (pi/4) or 2/3 (pi/6).
-    scale = Fraction(1) if c2 == Fraction(1, 2) else Fraction(2, 3)
-    denom, int_rows = clear_denominators(
-        [scale * pi_minus.rows[j][i] for j in range(rm)] for i in range(rp))
-    scaled_identity = [[denom * int(i == j) for j in range(rm)]
+    # Free part: (q pi- N+) meet N-, q = 1 (pi/4) or 2/3 (pi/6), with
+    # pi- = BCt / det G-, scaled into Z^rm by den(q) |det G-|.
+    num, den = (1, 1) if c2 == Fraction(1, 2) else (2, 3)
+    scale = den * abs(det_minus)
+    images = [[num * row[i] for row in pencil.BCt] for i in range(rp)]
+    scaled_identity = [[scale * int(i == j) for j in range(rm)]
                        for i in range(rm)]
-    inter = lattice_intersection(int_rows, scaled_identity)
-    basis = [[x // denom for x in row] for row in inter]
-    minus_factor = Fraction(1) if c2 == Fraction(1, 2) else Fraction(1, 2)
+    inter = lattice_intersection(images, scaled_identity)
+    basis = [[x // scale for x in row] for row in inter]
+    # p(M) on pi+ f + f is c2bar+ . AC f / det G+ + c2bar- . f / half
+    # with half = 1 (pi/4) or 2 (pi/6).
+    half = 1 if c2 == Fraction(1, 2) else 2
+    weights = int_matmul([list(cfg.plus.c2bar)], pencil.AC)[0]
     p_values = []
     for f in basis:
-        pf = pi_plus.mul_vector(f)
-        val = (sum(Fraction(c) * x for c, x in zip(cfg.plus.c2bar, pf))
-               + minus_factor * sum(c * x for c, x
-                                    in zip(cfg.minus.c2bar, f)))
-        if val.denominator != 1:
+        val, rem = divmod(
+            half * sum(w * x for w, x in zip(weights, f))
+            + det_plus * sum(c * x for c, x in zip(cfg.minus.c2bar, f)),
+            half * det_plus)
+        if rem:
             raise ArithmeticError("p(M) evaluation is not integral; "
                                   "invariant violation")
-        p_values.append(int(val))
+        p_values.append(val)
     d_free = gcd(24, *(abs(v) for v in p_values)) if p_values else 24
     return PureTorsion(quotient.group, quotient.pairing, d_free,
                        tuple(p_values))
@@ -316,15 +313,13 @@ def nu_bar(angles: AngleSpectrum, theta: Fraction,
         raise ValueError(f"unsupported theta {theta}*pi")
     sign_rho = 1 if rho > 0 else -1
     # cos(pi - |rho|) = -cos(|rho| * pi), rational for all our angles.
-    COS = {Fraction(1, 2): Fraction(0), Fraction(1, 3): Fraction(1, 2),
-           Fraction(2, 3): Fraction(-1, 2)}
-    cstar = -COS[abs(rho)]
+    cstar = -COS_RHO[abs(rho)]
     boundary = 0
     interior = 0
     for cos_a, s in angles.alpha_minus:
         if s == -1:
             continue  # each +- pair is counted once, at its + member
-        if (cos_a, s) == (Fraction(-1), 0):
+        if (cos_a, s) == ANGLE_PI:
             boundary += 1
         elif s == 1:
             if cos_a == cstar:

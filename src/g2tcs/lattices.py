@@ -23,13 +23,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import (
-    RationalMatrix,
-    clear_denominators,
-    hermite_row_basis,
-    smith_normal_form,
-    solve_integer_columns,
-)
+from .exact import (RationalMatrix, adjugate, clear_denominators,
+                    hermite_row_basis, int_det, int_matmul, integer_kernel,
+                    smith_normal_form, solve_integer_columns, transpose)
 
 IntMatrix = List[List[int]]
 
@@ -215,21 +211,19 @@ def discriminant_form(G: GramLattice) -> DiscriminantForm:
     """Discriminant group N*/N of a nondegenerate lattice with its pairing.
 
     The group is the cokernel of the Gram matrix; pairings of generators are
-    computed as x^T G^{-1} y mod 1 on integer representatives.
+    x^T G^{-1} y mod 1 on integer representatives, computed as
+    x^T adj(G) y / det(G).
     """
-    if G.matrix().det() == 0:
+    det = int_det(G.gram)
+    if det == 0:
         raise ValueError("lattice is degenerate")
     pres = cokernel_presentation([list(row) for row in G.gram])
     gens = pres.generator_vectors()
-    Ginv = G.matrix().inverse()
-    pairing = []
-    for x in gens:
-        row = []
-        for y in gens:
-            v = sum(Fraction(xi) * c for xi, c in zip(x, Ginv.mul_vector(y)))
-            row.append(v % 1)
-        pairing.append(tuple(row))
-    return DiscriminantForm(FiniteAbelianGroup(pres.group.invariant_factors, 0), tuple(pairing))
+    pairing = tuple(
+        tuple(Fraction(sum(a * b for a, b in zip(image, y)), det) % 1
+              for y in gens)
+        for image in int_matmul(gens, adjugate(G.gram)))
+    return DiscriminantForm(FiniteAbelianGroup(pres.group.invariant_factors, 0), pairing)
 
 
 def quotient_by_2torsion(D: DiscriminantForm) -> DiscriminantForm:
@@ -278,90 +272,70 @@ def radical_and_quotient(G: GramLattice) -> Tuple[List[List[int]], GramLattice]:
     return radical, reduced
 
 
-def saturated_sum(ambient: GramLattice, generators: Sequence[Sequence]) -> GramLattice:
+def saturated_sum(ambient: GramLattice, generators: Sequence[Sequence],
+                  denom: int = 1) -> GramLattice:
     """Lattice generated by rational vectors inside the span of ``ambient``.
 
     Args:
         ambient: Gram matrix of the coordinate lattice fixing the bilinear
             form on the ambient rational span.
-        generators: rational vectors in ambient coordinates.
+        generators: rational vectors in ambient coordinates (ints or
+            Fractions), each divided by ``denom``.
 
     Returns:
         GramLattice with the Gram matrix of a basis of the generated lattice;
-        the basis rows are recorded. Raises ValueError with message
+        the basis rows are recorded. The Gram matrix is the integer Gram of
+        the Hermite basis of the cleared generators, divided by the square
+        of their common denominator. Raises ValueError with message
         "sum is not an integral lattice" if the induced form is not integral
         and even.
     """
-    denom, int_rows = clear_denominators(generators)
-    basis_int = hermite_row_basis(int_rows)
-    basis = [[Fraction(x, denom) for x in row] for row in basis_int]
-    Gm = ambient.matrix()
-    gram = []
-    for u in basis:
-        gu = Gm.mul_vector(u)
-        gram.append([sum(a * b for a, b in zip(v, gu)) for v in basis])
-    for i, row in enumerate(gram):
-        for j, x in enumerate(row):
-            if x.denominator != 1 or (i == j and int(x) % 2 != 0):
-                raise ValueError("sum is not an integral lattice")
-    return GramLattice.from_rows([[int(x) for x in row] for row in gram], basis=basis)
+    d, int_rows = clear_denominators(generators)
+    denom = d * abs(denom)
+    basis = hermite_row_basis(int_rows)
+    gram = int_matmul(int_matmul(basis, ambient.gram), transpose(basis))
+    square = denom * denom
+    if any(x % square for row in gram for x in row) or any(
+            gram[i][i] // square % 2 for i in range(len(gram))):
+        raise ValueError("sum is not an integral lattice")
+    return GramLattice.from_rows(
+        [[x // square for x in row] for row in gram],
+        basis=[[Fraction(x, denom) for x in row] for row in basis])
 
 
 def even_dual_kernel(G: GramLattice) -> List[List[int]]:
     """Basis of the sublattice {x in N : b(x, -) lies in 2 N*}.
 
-    Concretely the condition is G x = 0 mod 2; the sublattice is generated by
-    lifts of the mod-2 kernel together with 2 N. Rows of the result are basis
-    vectors in N coordinates.
+    Concretely the condition is G x = 2 z for an integer z: the sublattice
+    is the projection of the kernel of [G | -2 I] to its first n
+    coordinates. Rows of the result are basis vectors in N coordinates.
     """
     n = G.rank
-    # Mod-2 kernel via elimination over GF(2).
-    rows = [[G.gram[i][j] % 2 for j in range(n)] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free_cols = [c for c in range(n) if c not in pivots]
-    kernel_lifts = []
-    for fc in free_cols:
-        v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = rows[i][fc] % 2
-        kernel_lifts.append(v)
-    candidates = kernel_lifts + [[2 * int(i == j) for j in range(n)] for i in range(n)]
-    return hermite_row_basis(candidates)
+    stacked = [list(row) + [-2 * (i == j) for j in range(n)]
+               for i, row in enumerate(G.gram)]
+    return hermite_row_basis([v[:n] for v in integer_kernel(stacked)])
 
 
 def signature(G: GramLattice) -> Tuple[int, int, int]:
     """Inertia (n+, n-, n0) of a symmetric integer form, computed exactly.
 
-    Symmetric congruence reduction: repeatedly split off a nonzero diagonal
-    entry; when the diagonal vanishes but an off-diagonal entry survives, a
-    hyperbolic pair (+1, -1) is split off.
+    Symmetric congruence reduction in integers: repeatedly split off a
+    nonzero diagonal entry d, leaving d times its Schur complement
+    (d A_ij - A_ip A_pj); when the diagonal vanishes but an off-diagonal
+    entry survives, a hyperbolic pair (+1, -1) is split off. As in Bareiss
+    elimination, each step divides exactly by the previous pivot, which
+    keeps the entries minors of the form; the sign of that pivot says
+    whether the stored block is the Schur complement or its negative.
     """
-    A = [[Fraction(G.gram[i][j]) for j in range(G.rank)] for i in range(G.rank)]
+    A = [list(row) for row in G.gram]
     pos = neg = zero = 0
+    prev = 1
     idx = list(range(G.rank))
     while idx:
         pivot = next((i for i in idx if A[i][i] != 0), None)
         if pivot is None:
-            pair = None
-            for i in idx:
-                for j in idx:
-                    if i != j and A[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in idx for j in idx
+                         if i != j and A[i][j] != 0), None)
             if pair is None:
                 zero += len(idx)
                 break
@@ -373,17 +347,13 @@ def signature(G: GramLattice) -> Tuple[int, int, int]:
                 A[k][i] = A[k][i] + A[k][j]
             continue
         d = A[pivot][pivot]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         idx = [i for i in idx if i != pivot]
         for i in idx:
-            f = A[i][pivot] / d
-            if f != 0:
-                for j in idx:
-                    A[i][j] -= f * A[pivot][j]
-                A[i][pivot] = Fraction(0)
-        for j in idx:
-            A[pivot][j] = Fraction(0)
+            for j in idx:
+                A[i][j] = (d * A[i][j] - A[i][pivot] * A[pivot][j]) // prev
+        prev = d
     return pos, neg, zero

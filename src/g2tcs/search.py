@@ -23,7 +23,7 @@ from .configuration import (
     rank1_pushout,
     validate_configuration,
 )
-from .exact import int_det
+from .exact import adjugate, int_det
 from .invariants import InvariantReport, UnsupportedAngle, full_report
 
 __all__ = [
@@ -171,11 +171,9 @@ class _CrossScreen:
         d = int_det(minus_gram)
         if d == 0 or int_det(plus_gram) == 0:
             raise ValueError("cross-term search needs nondegenerate blocks")
-        n = len(minus_gram)
         # den * adj(G-); symmetric because G- is.
-        self._adj = [[cos2.denominator * (-1) ** (i + j) * int_det(
-            [row[:i] + row[i + 1:] for k, row in enumerate(minus_gram)
-             if k != j]) for j in range(n)] for i in range(n)]
+        self._adj = [[cos2.denominator * x for x in row]
+                     for row in adjugate(minus_gram)]
         self._target = [[cos2.numerator * d * x for x in row]
                         for row in plus_gram]
 

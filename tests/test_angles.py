@@ -12,6 +12,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_route
 from g2tcs.catalog import load_catalog
 from g2tcs.configuration import (ANGLE_PI, ANGLE_ZERO, AngleSpectrum,
                                  ConfigurationError, configuration_angles,
@@ -187,6 +188,8 @@ def test_principal_angles_match_reflections_on_random_pushouts(cfg):
         assert new is ArithmeticError
     else:
         assert new == old, cfg.pushout.gram
+    # The integer pencil agrees with the rational route it replaced.
+    fraction_route.routes_agree(cfg)
 
 
 def test_hyperbolic_plane_is_not_an_angle(catalog):

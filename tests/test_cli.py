@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -278,6 +279,71 @@ def test_invariants_zero_denominator_angle(runner, tmp_path, theta):
     result = invoke(runner, "invariants", "--config", path)
     assert result.exit_code == 4
     assert repr(theta) in result.stderr and "zero denominator" in result.stderr
+
+
+def test_invariants_rejects_an_exponent_glue_entry_at_once(runner,
+                                                          tmp_path):
+    # Fraction reads "1e999999999" as 10^999999999, which would not fit in
+    # memory; only "[-]p" and "[-]p/q" strings are glue entries.
+    doc = json.loads(json.dumps(GLUE_DOC))
+    doc["plus_basis"][0][0] = "1e999999999"
+    path = _write_config(tmp_path, doc)
+    start = time.perf_counter()
+    result = invoke(runner, "invariants", "--config", path)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 4
+    assert "'plus_basis'" in result.stderr
+
+
+def test_invariants_rejects_an_integer_of_too_many_digits(runner, tmp_path):
+    # json.load refuses integers of more than 4300 digits with ValueError.
+    path = tmp_path / "config.json"
+    path.write_text('{"plus": "3.22_3", "minus": "3.23_6", "theta": "1/4pi",'
+                    ' "pushout": [[' + "6" * 5000 + ', 3, 3], [3, 2, 4],'
+                    ' [3, 4, 2]]}')
+    result = invoke(runner, "invariants", "--config", str(path))
+    assert result.exit_code == 4
+    assert "bad config document" in result.stderr
+
+
+def test_invariants_rejects_a_document_that_is_not_utf8(runner, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'\xff\xfe{"plus": "3.22_3"}')
+    result = invoke(runner, "invariants", "--config", str(path))
+    assert result.exit_code == 4
+    assert "bad config document" in result.stderr
+
+
+def test_catalog_rejects_an_integer_of_too_many_digits(runner, tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text('{"format": "g2tcs-block-catalog", "blocks": [],'
+                    ' "size": ' + "1" * 5000 + '}')
+    result = invoke(runner, "--catalog", str(path), "catalog", "list")
+    assert result.exit_code == 4
+    assert "bad catalog" in result.stderr
+
+
+@pytest.mark.parametrize("orientation", [True, False, 1.0, -1.0, "1", 2])
+def test_invariants_rejects_an_orientation_other_than_int_1_or_minus_1(
+        runner, tmp_path, orientation):
+    path = _write_config(tmp_path, {
+        "plus": "3.22_3", "minus": "3.23_6", "theta": "1/4pi",
+        "pushout": [[6, 3, 3], [3, 2, 4], [3, 4, 2]],
+        "orientation": orientation})
+    result = invoke(runner, "invariants", "--config", path)
+    assert result.exit_code == 4
+    assert "orientation must be +1 or -1" in result.stderr
+
+
+def test_invariants_takes_an_integer_orientation(runner, tmp_path):
+    path = _write_config(tmp_path, {
+        "plus": "3.22_3", "minus": "3.23_6", "theta": "1/4pi",
+        "pushout": [[6, 3, 3], [3, 2, 4], [3, 4, 2]], "orientation": -1})
+    result = invoke(runner, "invariants", "--config", path,
+                    "--format", "json")
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert (doc["orientation"], doc["nu_bar"]) == (-1, 36)
 
 
 def test_invariants_glue_entries_may_be_integers(runner, tmp_path):

@@ -25,21 +25,21 @@ def test_full_report_matches_expected(example_reports):
 
 
 def test_full_report_reuses_the_validation(catalog, monkeypatch):
-    # Validation makes two Sturm counts; a second validation would make two
-    # more.
-    calls = []
-    sturm = g2tcs.configuration.sturm_count_roots
+    # Each validation builds one ValidationReport; a second validation
+    # would build another.
+    built = []
+    report_type = g2tcs.configuration.ValidationReport
 
     def counted(*args):
-        calls.append(args)
-        return sturm(*args)
-    monkeypatch.setattr(g2tcs.configuration, "sturm_count_roots", counted)
+        built.append(args)
+        return report_type(*args)
+    monkeypatch.setattr(g2tcs.configuration, "ValidationReport", counted)
     plus, minus, theta, rows, _expected = EXAMPLES["8.7"]
     cfg = make_configuration(catalog.get(plus), catalog.get(minus), theta,
                              [list(r) for r in rows])
     assert validate_configuration(cfg).ok
     full_report(cfg)
-    assert len(calls) == 2
+    assert len(built) == 1
 
 
 def test_betti_agrees_with_report(example_configs, example_reports):

@@ -116,32 +116,51 @@ class Catalog:
                 from None
 
 
+# The exact JSON type of each scalar field of a record: 71.9 is not read
+# as 71, nor "false" as true.
+_FIELD_TYPES = {"id": str, "kind": str, "provenance": str, "rank": int,
+                "b3": int, "b3plus": int, "chiC": int, "pleasant": bool,
+                "k_trivial": bool, "ordinary_ok": bool}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
+
+
 def _block_from_record(rec: Mapping) -> BuildingBlock:
+    if not isinstance(rec, dict):
+        raise CatalogError("every block record must be a JSON object")
     required = ["id", "kind", "rank", "N", "c2bar", "b3", "provenance",
                 "pleasant", "k_trivial"]
     missing = [k for k in required if k not in rec]
     if missing:
         raise CatalogError(f"record {rec.get('id', '<no id>')!r} missing "
                            f"fields {missing}")
+    for name, kind in _FIELD_TYPES.items():
+        if name in rec and type(rec[name]) is not kind:
+            raise CatalogError(f"{rec['id']}: field {name!r} must be "
+                               f"{_TYPE_NAMES[kind]}")
+    bid = rec["id"]
     if rec["kind"] not in ("ordinary", "involution"):
-        raise CatalogError(f"{rec['id']}: unknown kind {rec['kind']!r}")
+        raise CatalogError(f"{bid}: unknown kind {rec['kind']!r}")
+    if type(rec["c2bar"]) is not list or any(
+            type(v) is not int for v in rec["c2bar"]):
+        raise CatalogError(f"{bid}: field 'c2bar' must be an array of "
+                           f"integers")
     try:
         gram = GramLattice.from_rows(rec["N"])
     except ValueError as exc:
-        raise CatalogError(f"{rec['id']}: bad Gram matrix: {exc}") from None
+        raise CatalogError(f"{bid}: bad Gram matrix: {exc}") from None
     return BuildingBlock(
-        id=str(rec["id"]),
+        id=bid,
         kind=rec["kind"],
-        rank=int(rec["rank"]),
+        rank=rec["rank"],
         N=gram,
-        c2bar=tuple(int(v) for v in rec["c2bar"]),
-        b3=int(rec["b3"]),
-        provenance=str(rec["provenance"]),
-        pleasant=bool(rec["pleasant"]),
-        k_trivial=bool(rec["k_trivial"]),
+        c2bar=tuple(rec["c2bar"]),
+        b3=rec["b3"],
+        provenance=rec["provenance"],
+        pleasant=rec["pleasant"],
+        k_trivial=rec["k_trivial"],
         b3plus=rec.get("b3plus"),
         chiC=rec.get("chiC"),
-        ordinary_ok=bool(rec.get("ordinary_ok", True)),
+        ordinary_ok=rec.get("ordinary_ok", True),
         derivation=rec.get("derivation"),
     )
 

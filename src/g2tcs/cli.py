@@ -217,7 +217,8 @@ def match(ctx, plus_id, minus_id, theta, pure, bound, fmt):
                       "blocks of rank > 1 need an explicit --bound")
             cand = rank1_candidate(plus, minus, theta)
             candidates = [] if cand is None else [cand]
-    except (ConfigurationError, UnsupportedAngle, ValueError) as exc:
+    except (ConfigurationError, UnsupportedAngle, ArithmeticError,
+            ValueError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     if fmt == "json":
         _emit_json([_candidate_doc(c) for c in candidates])

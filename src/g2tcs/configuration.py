@@ -29,11 +29,7 @@ from .catalog import BuildingBlock
 from .exact import (IntMatrix, RationalMatrix, adjugate, int_charpoly,
                     int_det, int_matmul, integer_kernel, integer_roots,
                     sturm_count_roots, transpose)
-from .lattices import (
-    GramLattice,
-    radical_and_quotient,
-    signature,
-)
+from .lattices import GramLattice, signature
 
 # cos^2(q*pi) for the seven admissible angle fractions q.
 COS_SQUARED = {
@@ -245,7 +241,7 @@ class Configuration:
     The pushout is the (rho+ + rho-)-dimensional Gram matrix of the
     concatenated bases of N+ and N- inside the K3 lattice; it may be
     degenerate when the two sublattices intersect. Its derived data (the
-    radical and quotient, the integer pencil with its eigenspaces, the
+    inertia of the pushout, the integer pencil with its eigenspaces, the
     validation report, the boundary presentation) are computed once, on
     first use, by the functions marked ``per_configuration``.
     ``projections`` and ``side_compositions`` give pi± and m± as rational
@@ -276,9 +272,10 @@ class Configuration:
         return {}
 
     @per_configuration
-    def quotient(self) -> Tuple[List[List[int]], GramLattice]:
-        """The radical of the pushout and its nondegenerate quotient."""
-        return radical_and_quotient(self.pushout)
+    def inertia(self) -> Tuple[int, int, int]:
+        """(n+, n-, n0) of the pushout: n0 is the rank of its radical
+        N+ meet N-, and n+ + n- the rank of the nondegenerate quotient."""
+        return signature(self.pushout)
 
     @per_configuration
     def projections(self) -> Tuple[RationalMatrix, RationalMatrix]:
@@ -422,9 +419,10 @@ def validate_configuration(cfg: Configuration) -> ValidationReport:
     """Structural checks of a configuration's pushout presentation.
 
     Verifies block-diagonal agreement with N+/N-, even integrality,
-    signature (2, rk-2) of the nondegenerate quotient, eigenvalues of
-    pi+ pi- inside [0, 1], and the embedding bound rk <= 11 (flagged,
-    not failed, when exceeded).
+    signature (2, rk-2) of the nondegenerate quotient (n+ = 2 in the
+    pushout's inertia), eigenvalues of pi+ pi- inside [0, 1], and the
+    embedding bound rk = n+ + n- <= 11 (flagged, not failed, when
+    exceeded).
     """
     problems: List[str] = []
     flags: List[str] = []
@@ -441,15 +439,14 @@ def validate_configuration(cfg: Configuration) -> ValidationReport:
     if not W.is_even():
         problems.append("pushout must be an even lattice")
     if not problems:
-        _radical, reduced = cfg.quotient()
-        pos, neg, zero = signature(reduced)
-        if (pos, neg) != (2, reduced.rank - 2) or zero:
+        pos, neg, _zero = cfg.inertia()
+        if pos != 2:
             problems.append(
                 f"signature must be (2, rk-2); quotient has "
-                f"({pos}, {neg}, {zero})")
+                f"({pos}, {neg}, 0)")
         if not _roots_between_0_and_s(cfg.pencil()):
             problems.append("eigenvalues of pi+ pi- must lie in [0, 1]")
-        if reduced.rank > 11:
+        if pos + neg > 11:
             flags.append("rank > 11: primitive embedding into the K3 "
                          "lattice not guaranteed")
     return ValidationReport(not problems, tuple(problems), tuple(flags))
@@ -586,10 +583,10 @@ def configuration_angles(cfg: Configuration) -> AngleSpectrum:
     pi_pos += pos
     pi_neg += neg
     accounted += len(minus_kernel)
-    # Cross-check with the radical: the pieces fill the quotient, of rank
-    # r = rho+ + rho- - dim(N+ meet N-).
-    _radical, reduced = cfg.quotient()
-    if accounted != reduced.rank:
+    # Cross-check with the inertia: the pieces fill the quotient, of rank
+    # r = n+ + n- = rho+ + rho- - dim(N+ meet N-).
+    pos, neg, _zero = cfg.inertia()
+    if accounted != pos + neg:
         raise ArithmeticError("eigenstructure does not fill the space")
     alpha_plus = ([ANGLE_PI] * pi_pos + [ANGLE_ZERO] * zero_pos
                   + pairs_plus)

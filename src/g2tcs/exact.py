@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 IntMatrix = List[List[int]]
 FracVector = List[Fraction]
@@ -455,27 +455,6 @@ def integer_kernel(A: IntMatrix) -> List[List[int]]:
     D, _P, Q, _Pinv = smith_normal_form(A)
     r = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
     return [[Q[i][j] for i in range(n)] for j in range(r, n)]
-
-
-def solve_integer_columns(A: IntMatrix, b: Sequence[int]) -> Optional[List[int]]:
-    """Integer solution x of A x = b (columns of A generate the image), or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D, P, Q, _Pinv = smith_normal_form(A)
-    Pb = [sum(P[i][k] * b[k] for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(min(m, n)):
-        d = D[i][i]
-        if d != 0:
-            if Pb[i] % d != 0:
-                return None
-            y[i] = Pb[i] // d
-        elif Pb[i] != 0:
-            return None
-    for i in range(min(m, n), m):
-        if Pb[i] != 0:
-            return None
-    return [sum(Q[i][j] * y[j] for j in range(n)) for i in range(n)]
 
 
 def lattice_intersection(rows_a: IntMatrix, rows_b: IntMatrix) -> IntMatrix:

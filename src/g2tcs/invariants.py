@@ -62,8 +62,8 @@ def _require_torsion_angle(cfg: Configuration) -> Fraction:
 def betti(cfg: Configuration) -> Tuple[int, int]:
     """(b2, b3) of the glued 7-manifold.
 
-    b2 is the rank of the radical of the pushout presentation (the
-    intersection of the two polarising lattices); b3 combines the block
+    b2 is the nullity n0 of the pushout's inertia, the rank of its radical
+    (the intersection of the two polarising lattices); b3 combines the block
     contributions, with a side entering through b3+ whenever it is used
     in its involution role.
     """
@@ -71,8 +71,7 @@ def betti(cfg: Configuration) -> Tuple[int, int]:
         raise ValueError(
             f"Betti formula applies to simply connected gluings; this "
             f"configuration has pi1 class {cfg.pi1()!r}")
-    _radical, reduced = cfg.quotient()
-    b2 = cfg.pushout.rank - reduced.rank
+    b2 = cfg.inertia()[2]
 
     def side_b3(block, b_flag: int) -> int:
         involution_role = (cfg.angle.family == "hexagonal" or b_flag == 1)
@@ -175,36 +174,19 @@ class TorsionReport:
 def torsion_report(cfg: Configuration) -> TorsionReport:
     """Torsion of H^4 with its linking form, via the boundary map.
 
-    The torsion is the torsion of the cokernel of the boundary matrix;
-    the linking of two torsion generators is obtained by solving the
-    minimal integer multiple of one back through the matrix and pairing
-    the solution against the other.
+    The torsion is the torsion of the cokernel of the boundary matrix. Its
+    Smith transform Q holds a preimage of d_i times each torsion generator
+    z_i; carried into N+ (+) N- by the domain embedding and paired against
+    z_j, over d_i, it gives the linking of z_i and z_j.
     """
     bd, pres = _boundary_cokernel(cfg)
-    gens = pres.generator_vectors()
-    E = bd.domain_embedding
-    n_dom = len(E)
-    pairing: List[List[Fraction]] = []
-    solved = []
-    for z in gens:
-        m, v = pres.minimal_multiple_preimage(z)
-        lattice_vec = [sum(E[k][i] * v[k] for k in range(n_dom))
-                       for i in range(len(z))]
-        solved.append((m, lattice_vec))
-    for i, z1 in enumerate(gens):
-        m, vec = solved[i]
-        row = []
-        for z2 in gens:
-            val = Fraction(sum(a * b for a, b in zip(z2, vec)), m)
-            row.append(val % 1)
-        pairing.append(row)
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            if pairing[i][j] != pairing[j][i]:
-                raise ArithmeticError("linking form is not symmetric; "
-                                      "invariant violation")
+    pairing = pres.linking(bd.domain_embedding)
+    if any(pairing[i][j] != pairing[j][i]
+           for i in range(len(pairing)) for j in range(i)):
+        raise ArithmeticError("linking form is not symmetric; "
+                              "invariant violation")
     group = FiniteAbelianGroup(pres.group.invariant_factors, 0)
-    return TorsionReport(group, tuple(tuple(r) for r in pairing))
+    return TorsionReport(group, pairing)
 
 
 # ------------------------------------------------------------ pure route

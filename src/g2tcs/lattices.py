@@ -4,13 +4,14 @@ The central objects are integral symmetric bilinear forms (Gram matrices) and
 the finite abelian groups they induce:
 
 * ``cokernel_presentation`` — the quotient of Z^m by the column span of an
-  integer matrix, presented through a Smith normal form with transforms, with
-  class orders and preimage solving.
+  integer matrix, presented through a Smith normal form D = P A Q with its
+  transforms; the linking pairing of the torsion generators is read off Q.
 * ``discriminant_form`` — the torsion group N*/N of a nondegenerate lattice
-  together with its fractional pairing.
-* Structure operations used by the gluing pipeline: radical quotients, the
-  lattice generated by rational vectors and the even "half-dual" kernel
-  sublattice.
+  together with its fractional pairing, read off the same transforms.
+* ``signature`` — the inertia (n+, n-, n0) of a form; n0 is the rank of
+  its radical, and ``radical_and_quotient`` gives the radical itself.
+* Structure operations used by the gluing pipeline: the lattice generated
+  by rational vectors and the even "half-dual" kernel sublattice.
 
 All computations are exact (integers and ``Fraction``).
 """
@@ -20,12 +21,10 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import (RationalMatrix, adjugate, clear_denominators,
-                    hermite_row_basis, int_det, int_matmul, integer_kernel,
-                    smith_normal_form, solve_integer_columns, transpose)
+from .exact import (RationalMatrix, clear_denominators, hermite_row_basis,
+                    int_matmul, integer_kernel, smith_normal_form, transpose)
 
 IntMatrix = List[List[int]]
 
@@ -46,16 +45,12 @@ class GramLattice:
 
     Attributes:
         gram: symmetric integer Gram matrix (tuple of row tuples).
-        basis: optional rational coordinates of the basis vectors inside an
-            ambient space (rows), recorded by operations that build a lattice
-            inside another one.
     """
 
     gram: Tuple[Tuple[int, ...], ...]
-    basis: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], basis=None) -> "GramLattice":
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GramLattice":
         """Gram lattice from integer rows.
 
         Entries must be integers or integral rationals; floats, strings and
@@ -71,10 +66,7 @@ class GramLattice:
             for j in range(len(g)):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        b = None
-        if basis is not None:
-            b = tuple(tuple(Fraction(x) for x in row) for row in basis)
-        return cls(g, b)
+        return cls(g)
 
     @property
     def rank(self) -> int:
@@ -120,6 +112,11 @@ class DiscriminantForm:
 class CokernelPresentation:
     """Presentation of Z^m / A·Z^n through a Smith normal form D = P A Q.
 
+    The torsion generator z_i is column i of P^-1, of order d_i = D[i][i];
+    column i of Q is a preimage of d_i z_i, since A Q e_i = P^-1 D e_i =
+    d_i P^-1 e_i (Newman, Integral Matrices, 1972). ``linking`` pairs the
+    generators through these preimages.
+
     Attributes:
         group: invariant factors >= 2 and the free rank of the quotient.
         torsion_indices: indices i (in SNF coordinates) with d_i >= 2.
@@ -127,7 +124,6 @@ class CokernelPresentation:
     """
 
     group: FiniteAbelianGroup
-    A: IntMatrix
     D: IntMatrix
     P: IntMatrix
     Q: IntMatrix
@@ -147,31 +143,23 @@ class CokernelPresentation:
     def diagonal(self, i: int) -> int:
         return self.D[i][i] if i < min(len(self.D), len(self.D[0]) if self.D else 0) else 0
 
-    def order_of(self, t: Sequence[int]) -> Optional[int]:
-        """Order of the class of t, or None if it has infinite order."""
-        c = self.snf_coordinates(t)
-        if any(c[i] != 0 for i in self.free_indices):
-            return None
-        k = 1
-        for i in self.torsion_indices:
-            d = self.diagonal(i)
-            k = lcm(k, d // gcd(d, c[i] % d) if c[i] % d else 1)
-        return k
+    def linking(self, embedding: Optional[Sequence[Sequence[int]]] = None
+                ) -> Tuple[Tuple[Fraction, ...], ...]:
+        """Pairing of the torsion generators, entries reduced to [0, 1).
 
-    def minimal_multiple_preimage(self, t: Sequence[int]) -> Optional[Tuple[int, List[int]]]:
-        """Smallest k > 0 with k·t in the image of A, plus x with A x = k t.
-
-        Returns None when no positive multiple of t lies in the image (i.e.
-        the class of t has a free component).
+        Entry (i, j) is z_j . E^T Q e_i / d_i mod 1: the preimage Q e_i of
+        d_i z_i, carried to Z^m by the n×m matrix E (rows: images of the
+        domain generators; the identity when omitted, which needs m = n),
+        paired against z_j and divided by d_i.
         """
-        k = self.order_of(t)
-        if k is None:
-            return None
-        kt = [k * v for v in t]
-        x = solve_integer_columns(self.A, kt)
-        if x is None:  # cannot happen if k is correct; defensive
-            raise ArithmeticError("preimage solve failed for a torsion class")
-        return k, x
+        gens = self.generator_vectors()
+        preimages = [[row[i] for row in self.Q] for i in self.torsion_indices]
+        if embedding is not None:
+            preimages = int_matmul(preimages, embedding)
+        return tuple(
+            tuple(Fraction(sum(a * b for a, b in zip(z, v)), self.D[i][i]) % 1
+                  for z in gens)
+            for i, v in zip(self.torsion_indices, preimages))
 
 
 def _identity(n: int) -> IntMatrix:
@@ -186,7 +174,7 @@ def cokernel_presentation(A: Sequence[Sequence[int]]) -> CokernelPresentation:
 
     Returns:
         A ``CokernelPresentation`` exposing the group, torsion generators,
-        class projection and minimal-multiple preimage solving.
+        class projection and the linking pairing.
     """
     A = [[int(x) for x in row] for row in A]
     m = len(A)
@@ -196,7 +184,7 @@ def cokernel_presentation(A: Sequence[Sequence[int]]) -> CokernelPresentation:
     if n == 0:
         D, P, Q = [[0] * 0 for _ in range(m)], _identity(m), []
         pres = CokernelPresentation(
-            FiniteAbelianGroup((), m), A, D, P, Q, _identity(m), [], list(range(m))
+            FiniteAbelianGroup((), m), D, P, Q, _identity(m), [], list(range(m))
         )
         return pres
     D, P, Q, Pinv = smith_normal_form(A)
@@ -204,26 +192,22 @@ def cokernel_presentation(A: Sequence[Sequence[int]]) -> CokernelPresentation:
     torsion = [i for i in range(r) if D[i][i] >= 2]
     free = list(range(r, m))
     group = FiniteAbelianGroup(tuple(D[i][i] for i in torsion), len(free))
-    return CokernelPresentation(group, A, D, P, Q, Pinv, torsion, free)
+    return CokernelPresentation(group, D, P, Q, Pinv, torsion, free)
 
 
 def discriminant_form(G: GramLattice) -> DiscriminantForm:
     """Discriminant group N*/N of a nondegenerate lattice with its pairing.
 
-    The group is the cokernel of the Gram matrix; pairings of generators are
-    x^T G^{-1} y mod 1 on integer representatives, computed as
-    x^T adj(G) y / det(G).
+    The group is the cokernel of the Gram matrix, which has a free part
+    exactly when G is degenerate; pairings of generators are
+    x^T G^{-1} y mod 1 on integer representatives. With D = P G Q,
+    G^{-1} z_i = Q e_i / d_i, so the pairing is the cokernel's ``linking``
+    with the identity embedding.
     """
-    det = int_det(G.gram)
-    if det == 0:
-        raise ValueError("lattice is degenerate")
     pres = cokernel_presentation([list(row) for row in G.gram])
-    gens = pres.generator_vectors()
-    pairing = tuple(
-        tuple(Fraction(sum(a * b for a, b in zip(image, y)), det) % 1
-              for y in gens)
-        for image in int_matmul(gens, adjugate(G.gram)))
-    return DiscriminantForm(FiniteAbelianGroup(pres.group.invariant_factors, 0), pairing)
+    if pres.group.free_rank:
+        raise ValueError("lattice is degenerate")
+    return DiscriminantForm(pres.group, pres.linking())
 
 
 def quotient_by_2torsion(D: DiscriminantForm) -> DiscriminantForm:
@@ -252,8 +236,8 @@ def radical_and_quotient(G: GramLattice) -> Tuple[List[List[int]], GramLattice]:
     Returns:
         (radical_basis, reduced): a saturated integer basis of the radical
         {x : G x = 0}, and the nondegenerate Gram matrix induced on the
-        quotient. The quotient lattice records coordinate representatives of
-        its basis in the original coordinates.
+        quotient, on the complement basis given by the leading columns of the
+        Smith transform Q.
     """
     n = G.rank
     A = [list(row) for row in G.gram]
@@ -268,8 +252,7 @@ def radical_and_quotient(G: GramLattice) -> Tuple[List[List[int]], GramLattice]:
         ]
         for a in range(r)
     ]
-    reduced = GramLattice.from_rows(reduced_gram, basis=[[Fraction(x) for x in row] for row in complement])
-    return radical, reduced
+    return radical, GramLattice.from_rows(reduced_gram)
 
 
 def saturated_sum(ambient: GramLattice, generators: Sequence[Sequence],
@@ -283,12 +266,11 @@ def saturated_sum(ambient: GramLattice, generators: Sequence[Sequence],
             Fractions), each divided by ``denom``.
 
     Returns:
-        GramLattice with the Gram matrix of a basis of the generated lattice;
-        the basis rows are recorded. The Gram matrix is the integer Gram of
-        the Hermite basis of the cleared generators, divided by the square
-        of their common denominator. Raises ValueError with message
-        "sum is not an integral lattice" if the induced form is not integral
-        and even.
+        GramLattice with the Gram matrix of a basis of the generated lattice:
+        the integer Gram of the Hermite basis of the cleared generators,
+        divided by the square of their common denominator. Raises ValueError
+        with message "sum is not an integral lattice" if the induced form is
+        not integral and even.
     """
     d, int_rows = clear_denominators(generators)
     denom = d * abs(denom)
@@ -298,9 +280,7 @@ def saturated_sum(ambient: GramLattice, generators: Sequence[Sequence],
     if any(x % square for row in gram for x in row) or any(
             gram[i][i] // square % 2 for i in range(len(gram))):
         raise ValueError("sum is not an integral lattice")
-    return GramLattice.from_rows(
-        [[x // square for x in row] for row in gram],
-        basis=[[Fraction(x, denom) for x in row] for row in basis])
+    return GramLattice.from_rows([[x // square for x in row] for row in gram])
 
 
 def even_dual_kernel(G: GramLattice) -> List[List[int]]:

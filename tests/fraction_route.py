@@ -26,7 +26,8 @@ from g2tcs.invariants import (PureTorsion, UnsupportedAngle, boundary_data,
 from g2tcs.lattices import (DiscriminantForm, FiniteAbelianGroup,
                             GramLattice, cokernel_presentation,
                             discriminant_form, even_dual_kernel,
-                            quotient_by_2torsion, signature)
+                            quotient_by_2torsion, radical_and_quotient,
+                            signature)
 
 TORSION_ANGLES = (F(1, 2), F(3, 4))
 
@@ -157,7 +158,7 @@ def validation(cfg) -> ValidationReport:
     if not W.is_even():
         problems.append("pushout must be an even lattice")
     if not problems:
-        _radical, reduced = cfg.quotient()
+        _radical, reduced = radical_and_quotient(cfg.pushout)
         pos, neg, zero = rational_signature(reduced.gram)
         if (pos, neg) != (2, reduced.rank - 2) or zero:
             problems.append(
@@ -209,7 +210,7 @@ def angles(cfg) -> AngleSpectrum:
         raise ArithmeticError("degenerate eigenspace")
     pi_pos, pi_neg = pi_pos + pos, pi_neg + neg
     accounted += len(minus_kernel)
-    if accounted != cfg.quotient()[1].rank:
+    if accounted != radical_and_quotient(cfg.pushout)[1].rank:
         raise ArithmeticError("eigenstructure does not fill the space")
     alpha_plus = [ANGLE_PI] * pi_pos + [ANGLE_ZERO] * zero_pos + pairs_plus
     alpha_minus = ([ANGLE_PI] * pi_neg + [ANGLE_ZERO] * zero_neg
@@ -361,7 +362,10 @@ def routes_agree(cfg):
     pencil = cfg.pencil()
     scaled = [c * pencil.s ** i for i, c in enumerate(charpoly(cfg))]
     assert int_charpoly(pencil.N[0]) == scaled, label
-    for gram in (cfg.plus.N.gram, cfg.minus.N.gram, cfg.quotient()[1].gram):
+    radical, reduced = radical_and_quotient(cfg.pushout)
+    assert cfg.inertia()[2] == len(radical), label
+    assert cfg.inertia()[:2] == rational_signature(reduced.gram)[:2], label
+    for gram in (cfg.plus.N.gram, cfg.minus.N.gram, reduced.gram):
         assert signature(GramLattice.from_rows(gram)) == \
             rational_signature(gram), label
         assert outcome(_pairing, gram) == \

@@ -18,7 +18,7 @@ from g2tcs.configuration import (ANGLE_PI, ANGLE_ZERO, AngleSpectrum,
                                  ConfigurationError, configuration_angles,
                                  make_configuration, validate_configuration)
 from g2tcs.exact import (RationalMatrix, palindromic_quadratic_split,
-                         rational_roots)
+                         rational_roots, smith_normal_form)
 from g2tcs.fixtures import TABLE5, table5_pushout
 from g2tcs.invariants import full_report
 from g2tcs.lattices import GramLattice, radical_and_quotient, signature
@@ -44,12 +44,15 @@ def _from_columns(cols) -> RationalMatrix:
 
 def reflection_angles(cfg) -> AngleSpectrum:
     """Configuration angles from the eigenstructure of A+ A-."""
-    radical, reduced = radical_and_quotient(cfg.pushout)
+    _radical, reduced = radical_and_quotient(cfg.pushout)
     r = reduced.rank
     Ghat = reduced.matrix()
     n = cfg.pushout.rank
-    full = _from_columns(
-        [list(map(F, v)) for v in list(reduced.basis or []) + radical])
+    # The columns of the Smith transform Q: the complement basis on which
+    # ``reduced`` is the Gram matrix, then the radical.
+    _D, _P, Q, _Pinv = smith_normal_form(
+        [list(row) for row in cfg.pushout.gram])
+    full = RationalMatrix(Q)
     inv = full.inverse()
     imgs = [inv.mul_vector([F(int(i == j)) for i in range(n)])[:r]
             for j in range(n)]

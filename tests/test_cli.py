@@ -8,7 +8,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2tcs.catalog import default_catalog_path
 from g2tcs.cli import main
+from g2tcs.fixtures import EXAMPLES
 
 
 @pytest.fixture()
@@ -154,6 +156,16 @@ def test_match_reports_an_inadmissible_angle_before_the_bound(runner):
     assert "'1/5pi' is not one of the seven admissible" in result.stderr
 
 
+def test_match_maps_an_arithmetic_error_of_a_report_to_exit_4(runner):
+    # A feasible block of this box has a composed reflection that is not
+    # semisimple; its report raises ArithmeticError inside the search.
+    result = invoke(runner, "match", "--plus", "3.8_2_5", "--minus", "3.27_4",
+                    "--theta", "1/2pi", "--bound", "1")
+    assert result.exit_code == 4
+    assert "composed reflection is not semisimple" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+
+
 def test_match_unknown_block(runner):
     result = invoke(runner, "match", "--plus", "nosuch",
                     "--minus", "3.28", "--theta", "1/6pi")
@@ -191,6 +203,47 @@ def test_invariants_glue_config(runner, tmp_path):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert (doc["b2"], doc["b3"], doc["d_free"]) == (1, 49, 12)
+
+
+# sha256 of ``invariants --config <doc> --format json`` for each worked
+# example, recorded before the linking pairings were read off the Smith
+# transforms and b2 off the pushout's inertia: the JSON report carries the
+# linking matrix, d_full and the angles that ``reproduce`` only summarises.
+EXAMPLE_INVARIANTS_DIGESTS = {
+    "8.1": "c51822cd33e72c4d37523d6cc8a54f5b8304f077b15738b41725213164156ba9",
+    "8.2": "7d0f2269432ee5322221cb0162fe8ff3a7e228bde9bc89205be7e96e2e48955f",
+    "8.3": "004754d44fcc385779477eefb55ea8b92f8ba9ca1b29c69fdbfa97522a90934d",
+    "8.4": "d0acf4dfe9dc13b593138d609024c9e64dd0cb7dc812736396d833f6d391d835",
+    "8.5": "d3cd9f76cd68c98afd87e9207a2f9f296ded9133f33dbccdc8e72ab2d6ab9737",
+    "8.6": "ca3fae232dd210e9faec37b8ae31c1a678c81a341b8309d4c57ed5b0c1494b96",
+    "8.7": "2219e4b74bfecaea49765735552ade9a999580549724de9bd8f3708ca8b841c5",
+    "8.8": "2fffcaf68e6332c2f4034c89a73b355f456606c70181daa4a0fd1a6640a772a8",
+    "8.9": "98020789db6ebd02e72579bcb3b17286561ae8b2b6aeb1f234f1d7b7d0504912",
+    "8.10": "235e73929c2134d987ba313dbf58b8febbf9116b39c2118826e61fd662eb9f8f",
+    "8.11": "b16c33de065c00692e59a12325035425e71e5211e0a3f797b6b05852c9ecb16a",
+    "8.12": "5940060baf78840fa527061bf982394c2c0fd3866cbda962a4a0998a26c83e5c",
+    "8.14": "d002f7bc99f177e656167380617b9d9811acb44d56f86762a668385ae6c13026",
+    "8.15a": "c4296e76207453124ee347ee06856239796df4c3f44cf4fafc42c40ed71adb41",
+    "8.15b": "2b26de1a91bae665dc7f023f4adb425630e75124e9d0ce091f8ab1e390d8be46",
+    "8.16": "0550c4e739bfc7f25ebb5d2ec95815a79e2b19a410f7dbcc6901f52ada3d46a7",
+    "8.17": "3ca044f2f81151e4119eb58d63a4a19ce00715a131d604b4d858e7edc99eede5",
+    "8.18": "86d0c6b9065925d10046be3a3e4d8b78efec67ce2aee3b48be2091d0b3586074",
+    "8.19": "737332457093bef94309a3299953b82bf35ae945808154688b890f9b6804c0cd",
+    "8.20": "b629df16b7bd10795b865ff5de4ac225164e0bf2dcc784db5f7267fba1f95f13",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_INVARIANTS_DIGESTS))
+def test_invariants_example_json_bytes(runner, tmp_path, name):
+    plus, minus, theta, rows, _expected = EXAMPLES[name]
+    path = _write_config(tmp_path, {
+        "plus": plus, "minus": minus, "theta": theta,
+        "pushout": [list(r) for r in rows]})
+    result = invoke(runner, "invariants", "--config", path,
+                    "--format", "json")
+    assert result.exit_code == 0
+    assert (hashlib.sha256(result.stdout_bytes).hexdigest()
+            == EXAMPLE_INVARIANTS_DIGESTS[name])
 
 
 def test_invariants_invalid_config(runner, tmp_path):
@@ -403,6 +456,75 @@ def test_invariants_fuzzed_documents(tmp_path_factory, doc):
                                                   SystemExit)
     assert not _LEAK.search(result.output), result.output
 
+
+
+with open(default_catalog_path()) as _fh:
+    _SHIPPED_CATALOG = json.load(_fh)
+_REMOVED = object()
+
+
+def _write_catalog_mutant(directory, index, field, value):
+    """The shipped catalog with one field of block ``index`` replaced
+    (or removed, for ``_REMOVED``)."""
+    doc = json.loads(json.dumps(_SHIPPED_CATALOG))
+    record = doc["blocks"][index]
+    if value is _REMOVED:
+        record.pop(field, None)
+    else:
+        record[field] = value
+    path = directory / "catalog.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _block_index(block_id):
+    return next(i for i, rec in enumerate(_SHIPPED_CATALOG["blocks"])
+                if rec["id"] == block_id)
+
+
+@pytest.mark.parametrize("block_id,field,value", [
+    ("3.22_3", "b3", 71.9),
+    ("3.22_3", "rank", 1.9),
+    ("3.22_3", "c2bar", [30.5]),
+    ("3.22_3", "pleasant", "false"),
+    ("3.22_3", "chiC", "y"),
+    ("3.21", "b3plus", "x"),
+])
+def test_catalog_rejects_a_mistyped_record_field(runner, tmp_path, block_id,
+                                                 field, value):
+    path = _write_catalog_mutant(tmp_path, _block_index(block_id), field,
+                                 value)
+    result = invoke(runner, "--catalog", path, "catalog", "list")
+    assert result.exit_code == 4
+    assert f"{block_id}: field {field!r}" in result.stderr
+
+
+# Strings over this alphabet cannot spell a word that _LEAK looks for.
+_RECORD_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="xyz0123456789 ./-", max_size=6))
+_RECORD_VALUE = st.recursive(
+    _RECORD_SCALAR,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(alphabet="xyz", max_size=3), inner, max_size=3),
+    max_leaves=8)
+_RECORD_FIELDS = sorted({k for rec in _SHIPPED_CATALOG["blocks"]
+                         for k in rec})
+
+
+@settings(max_examples=80, deadline=None)
+@given(index=st.integers(0, len(_SHIPPED_CATALOG["blocks"]) - 1),
+       field=st.sampled_from(_RECORD_FIELDS),
+       value=st.one_of(_RECORD_VALUE, st.just(_REMOVED)))
+def test_catalog_fuzzed_record_fields(tmp_path_factory, index, field, value):
+    path = _write_catalog_mutant(tmp_path_factory.getbasetemp(), index,
+                                 field, value)
+    result = CliRunner().invoke(main, ["--catalog", path, "catalog", "list"])
+    assert result.exit_code in (0, 4), result.output
+    assert result.exception is None or isinstance(result.exception,
+                                                  SystemExit)
+    assert not _LEAK.search(result.output), result.output
 
 def test_invariants_missing_file(runner):
     result = invoke(runner, "invariants", "--config", "/nonexistent.json")

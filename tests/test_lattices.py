@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_route import rational_discriminant_pairing
 from g2tcs.exact import RationalMatrix, int_det
 from g2tcs.lattices import (GramLattice, cokernel_presentation,
                             discriminant_form, even_dual_kernel,
@@ -131,13 +132,18 @@ def test_cokernel_against_brute_force():
 
 
 def test_cokernel_free_rank():
-    pres = cokernel_presentation([[2, 0], [0, 0]])
+    A = [[2, 0], [0, 0]]
+    pres = cokernel_presentation(A)
     assert pres.group.invariant_factors == (2,)
     assert pres.group.free_rank == 1
-    assert pres.order_of([1, 0]) == 2
-    assert pres.order_of([0, 1]) is None
-    k, x = pres.minimal_multiple_preimage([1, 0])
-    assert k == 2 and [2 * x[0], 0] == [2, 0]
+    # Column i of Q is a preimage of d_i times generator i:
+    # A Q e_i = d_i P^-1 e_i.
+    for i in range(2):
+        image = [sum(A[r][k] * pres.Q[k][i] for k in range(2))
+                 for r in range(2)]
+        assert image == [pres.diagonal(i) * pres.Pinv[r][i]
+                         for r in range(2)]
+    assert pres.linking() == ((F(1, 2),),)
 
 
 # --------------------------------------------------------- discriminant form
@@ -164,6 +170,29 @@ def test_discriminant_form_orders():
                 assert 0 <= x < 1
                 assert x == disc.pairing[j][i]
         done += 1
+
+
+def test_discriminant_pairing_matches_the_rational_route():
+    # x^T G^-1 y mod 1 by rational inversion, on random nondegenerate Grams
+    # with odd diagonals allowed.
+    rng = random.Random(19)
+    done = 0
+    while done < 200:
+        n = rng.randint(1, 4)
+        G = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] = G[j][i] = rng.randint(-5, 5)
+        if int_det(G) == 0:
+            continue
+        assert discriminant_form(sym(G)).pairing == \
+            rational_discriminant_pairing(G), G
+        done += 1
+
+
+def test_discriminant_form_degenerate():
+    with pytest.raises(ValueError, match="lattice is degenerate"):
+        discriminant_form(sym([[2, 2], [2, 2]]))
 
 
 def test_discriminant_form_known():

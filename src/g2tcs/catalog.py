@@ -116,12 +116,18 @@ class Catalog:
                 from None
 
 
-# The exact JSON type of each scalar field of a record: 71.9 is not read
-# as 71, nor "false" as true.
+# The exact JSON type of each field of a record (a list holds integers):
+# 71.9 is not read as 71, nor "false" as true.
 _FIELD_TYPES = {"id": str, "kind": str, "provenance": str, "rank": int,
                 "b3": int, "b3plus": int, "chiC": int, "pleasant": bool,
-                "k_trivial": bool, "ordinary_ok": bool}
-_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
+                "k_trivial": bool, "ordinary_ok": bool, "c2bar": list}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false",
+               list: "an array of integers", dict: "an object"}
+
+
+def _typed(value, kind) -> bool:
+    return type(value) is kind and (
+        kind is not list or all(type(v) is int for v in value))
 
 
 def _block_from_record(rec: Mapping) -> BuildingBlock:
@@ -134,20 +140,21 @@ def _block_from_record(rec: Mapping) -> BuildingBlock:
         raise CatalogError(f"record {rec.get('id', '<no id>')!r} missing "
                            f"fields {missing}")
     for name, kind in _FIELD_TYPES.items():
-        if name in rec and type(rec[name]) is not kind:
+        if name in rec and not _typed(rec[name], kind):
             raise CatalogError(f"{rec['id']}: field {name!r} must be "
                                f"{_TYPE_NAMES[kind]}")
     bid = rec["id"]
     if rec["kind"] not in ("ordinary", "involution"):
         raise CatalogError(f"{bid}: unknown kind {rec['kind']!r}")
-    if type(rec["c2bar"]) is not list or any(
-            type(v) is not int for v in rec["c2bar"]):
-        raise CatalogError(f"{bid}: field 'c2bar' must be an array of "
-                           f"integers")
     try:
         gram = GramLattice.from_rows(rec["N"])
     except ValueError as exc:
         raise CatalogError(f"{bid}: bad Gram matrix: {exc}") from None
+    try:
+        if "derivation" in rec:
+            _derived_fields(rec["derivation"])
+    except ValueError as exc:
+        raise CatalogError(f"{bid}: derivation: {exc}") from None
     return BuildingBlock(
         id=bid,
         kind=rec["kind"],
@@ -281,38 +288,47 @@ def derive_smoothed(r: int) -> Tuple[int, int]:
 # Independent re-derivation of the shipped catalog.
 # --------------------------------------------------------------------------
 
-def _derived_fields(block: BuildingBlock) -> Dict[str, object]:
-    """Recompute derivable fields of a block from its derivation record."""
-    der = block.derivation
+def _derived_fields(der) -> Dict[str, object]:
+    """Derived fields of a derivation record: an object with a known method
+    and that method's typed fields (else ValueError, as for bad data)."""
+    if type(der) is not dict:
+        raise CatalogError("must be an object")
+
+    def get(key, kind=int, rec=der):
+        if not _typed(rec.get(key), kind):
+            raise CatalogError(f"field {key!r} must be {_TYPE_NAMES[kind]}")
+        return rec[key]
+
     out: Dict[str, object] = {}
-    method = der.get("method")
+    method = get("method", str)
     if method == "rank1_fano":
-        data = derive_rank1_fano(der["r"], der["minusK3"], der["b3Y"])
+        data = derive_rank1_fano(get("r"), get("minusK3"), get("b3Y"))
         out["b3"] = data["b3"]
         out["c2bar"] = (data["c2bar"],)
         out["N"] = ((data["n"],),)
     elif method == "lemma_blowup":
-        out["b3"] = derive_lemma_blowup(der["b3Y"], der["minusK3"])
+        out["b3"] = derive_lemma_blowup(get("b3Y"), get("minusK3"))
     elif method == "double_cover":
-        b3, b3plus = derive_double_cover(der["b3X"], der["b1C"],
-                                         der["rho"])
+        b3, b3plus = derive_double_cover(get("b3X"), get("b1C"), get("rho"))
         out["b3"] = b3
         out["b3plus"] = b3plus
-        c2 = der.get("c2")
-        if c2 and c2.get("method") == "rank1_fano":
+        c2 = get("c2", dict) if "c2" in der else None
+        c2_method = None if c2 is None else get("method", str, c2)
+        if c2_method == "rank1_fano":
             out["c2bar"] = (derive_rank1_fano(
-                c2["r"], c2["minusK3"], 0)["c2bar"],)
-        elif c2 and c2.get("method") == "cover_c2":
-            out["c2bar"] = derive_c2bar_cover(c2["c2barX"],
-                                              c2["minus_k_row"])
+                get("r", int, c2), get("minusK3", int, c2), 0)["c2bar"],)
+        elif c2_method == "cover_c2":
+            out["c2bar"] = derive_c2bar_cover(get("c2barX", list, c2),
+                                              get("minus_k_row", list, c2))
+        elif c2 is not None:
+            raise CatalogError(f"unknown c2 method {c2_method!r}")
     elif method == "smoothed":
-        b3, b3plus = derive_smoothed(der["r"])
+        b3, b3plus = derive_smoothed(get("r"))
         out["b3"] = b3
         out["b3plus"] = b3plus
-        out["c2bar"] = tuple(3 * v for v in der["minus_k_row"])
+        out["c2bar"] = tuple(3 * v for v in get("minus_k_row", list))
     else:
-        raise CatalogError(f"{block.id}: unknown derivation method "
-                           f"{method!r}")
+        raise CatalogError(f"unknown derivation method {method!r}")
     return out
 
 
@@ -325,17 +341,17 @@ class CatalogMismatch:
 
 
 def verify_catalog(catalog: Catalog) -> List[CatalogMismatch]:
-    """Recompute derived fields of every block that carries derivation
-    data and report all disagreements with the stored values.
-
-    Blocks without a derivation record are skipped. An empty report
-    means the catalog is self-consistent.
-    """
+    """Recompute derived fields of every block from its derivation record
+    and report all disagreements with the stored values.  A block without
+    a derivation record is reported with field "derivation": it was not
+    re-derived.  An empty report means the catalog is self-consistent."""
     mismatches: List[CatalogMismatch] = []
     for block in catalog:
-        if not block.derivation:
+        if block.derivation is None:
+            mismatches.append(CatalogMismatch(block.id, "derivation",
+                                              None, None))
             continue
-        derived = _derived_fields(block)
+        derived = _derived_fields(block.derivation)
         stored = {
             "b3": block.b3,
             "b3plus": block.b3plus,

@@ -177,8 +177,9 @@ def catalog_validate(ctx):
     cat = _load(ctx.obj["catalog_path"])
     mismatches = verify_catalog(cat)
     for mm in mismatches:
-        click.echo(f"{mm.block_id}: {mm.field} stored {mm.stored} "
-                   f"derived {mm.derived}")
+        click.echo(f"{mm.block_id}: no derivation, not re-derived"
+                   if mm.field == "derivation" else f"{mm.block_id}: "
+                   f"{mm.field} stored {mm.stored} derived {mm.derived}")
     if mismatches:
         _fail(EXIT_MISMATCH, f"{len(mismatches)} catalog mismatches")
     click.echo(f"{len(cat.blocks)} blocks OK")

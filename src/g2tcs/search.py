@@ -2,14 +2,16 @@
 
 Two closed-form searches cover rank-1 x rank-1 gluings (where the cross
 term is determined up to sign by the generator squares).  For higher ranks
-a bounded search screens integer cross-blocks with an exact integer test
-(no rational matrix products) and, for pure angles, builds the blocks row
-by row so that only rows meeting the screen's equations are ever combined.
+a bounded search screens integer cross-blocks exactly, building them row by
+row for pure angles and otherwise solving an integer quadratic for the last
+entry of each block.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import isqrt
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import BuildingBlock, Catalog
@@ -149,7 +151,7 @@ def _canonical_gram(rows: Sequence[Sequence[int]], rho_plus: int,
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class _CrossScreen:
@@ -163,7 +165,8 @@ class _CrossScreen:
     So theta is an eigen-angle (det(m+ - cos^2 I) = 0) exactly when the
     integer matrix D(C) is singular, and the angle is pure (m+ = cos^2 I)
     exactly when D(C) = 0.  Entry (i, j) of D(C) depends only on rows i and
-    j of C, which lets the pure screen run row by row.
+    j of C: the pure screen runs row by row, and the singular screen fixes
+    all rows but the last, on which det D(C) is an integer quadratic form.
     """
 
     def __init__(self, plus_gram: Sequence[Sequence[int]],
@@ -183,15 +186,9 @@ class _CrossScreen:
 
     def _deviation(self, scaled: Sequence[Sequence[int]],
                    cross: Sequence[Sequence[int]]) -> List[List[int]]:
-        """D(C) from the rows of C and their scaled images."""
-        return [[_dot(scaled[i], cross[j]) - t
-                 for j, t in enumerate(target_row)]
-                for i, target_row in enumerate(self._target)]
-
-    def is_pure(self, cross: Sequence[Sequence[int]]) -> bool:
-        """m+ = cos^2(theta) I for this cross block."""
-        deviation = self._deviation([self._scaled(r) for r in cross], cross)
-        return not any(any(row) for row in deviation)
+        """D(C), or its leading block, from rows of C and their images."""
+        return [[_dot(s, row) - t for row, t in zip(cross, target_row)]
+                for s, target_row in zip(scaled, self._target)]
 
     def is_singular(self, cross: Sequence[Sequence[int]]) -> bool:
         """cos^2(theta) is an eigenvalue of m+ for this cross block."""
@@ -202,45 +199,75 @@ class _CrossScreen:
                ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
         """Cross blocks with entries in [-bound, bound] that pass the screen.
 
-        Blocks come in the row-major lexicographic order of the full box.
-        The pure screen keeps, for each row i, only the candidate rows
-        meeting the diagonal equation D(C)_ii = 0 and backtracks on the
-        off-diagonal ones; the singular screen walks the whole box.  The
-        box's rows are streamed rather than stored, so memory does not grow
-        with the bound.
+        Blocks come in the row-major lexicographic order of the full box,
+        and neither screen stores the box.  The pure screen keeps, for each
+        row i, only the candidate rows meeting the diagonal equation
+        D(C)_ii = 0 and backtracks on the off-diagonal ones; the singular
+        screen solves for the last row (``_singular_blocks``).
         """
         target = self._target
         values = range(-bound, bound + 1)
-
-        def candidates():
-            for row in product(values, repeat=len(self._adj)):
-                yield row, self._scaled(row)
-
-        if pure:
-            kept = [[] for _ in target]
-            for row, scaled in candidates():
-                norm = _dot(scaled, row)
-                for i, rows in enumerate(kept):
-                    if norm == target[i][i]:
-                        rows.append((row, scaled))
+        candidates = [(row, self._scaled(row))
+                      for row in product(values, repeat=len(self._adj))]
+        if not pure:
+            return self._singular_blocks(candidates, values)
+        kept = [[(row, s) for row, s in candidates if _dot(s, row) == t[i]]
+                for i, t in enumerate(target)]
 
         def extend(chosen: List[Tuple[Tuple[int, ...], Tuple[int, ...]]]):
             i = len(chosen)
             if i == len(target):
-                cross = tuple(row for row, _ in chosen)
-                if pure or int_det(self._deviation(
-                        [prev for _, prev in chosen], cross)) == 0:
-                    yield cross
+                yield tuple(row for row, _ in chosen)
                 return
-            for row, scaled in (kept[i] if pure else candidates()):
-                if pure and any(_dot(prev, row) != target[j][i]
-                                for j, (_, prev) in enumerate(chosen)):
+            for row, scaled in kept[i]:
+                if any(_dot(prev, row) != target[j][i]
+                       for j, (_, prev) in enumerate(chosen)):
                     continue
                 chosen.append((row, scaled))
                 yield from extend(chosen)
                 chosen.pop()
 
         return extend([])
+
+    def _singular_blocks(self, candidates: list, values: range) -> Iterator:
+        """Fix the head H (all rows but the last), its scaled rows S and
+        D' = D(H).  With (t, t_nn) the target's last column, the last row r
+        has det D(C) = det D' (r A' r^T - t_nn) - (S r - t)^T adj D' (S r - t)
+        (A' = den adj(G-); also for singular or empty D'), a quadratic form
+        in (r, 1) that is solved exactly for the last entry of r."""
+        m = len(self._adj)
+        *t, t_nn = self._target[-1]
+        bordered = [row + [0] for row in self._adj] + [[0] * m + [-t_nn]]
+        neg_t = [-x for x in t]
+        for head in product(candidates, repeat=len(t)):
+            rows = tuple(row for row, _ in head)
+            # The columns of (S | -t), the map (r, 1) -> S r - t.
+            cols = [[s[k] for _, s in head] for k in range(m)] + [neg_t]
+            dev = self._deviation([s for _, s in head], rows)
+            det, adj = (int_det(dev) if dev else 1), adjugate(dev)
+            adj_cols = [[_dot(a, col) for a in adj] for col in cols]
+            quad = [[det * x - _dot(col, adj_col)
+                     for x, adj_col in zip(row, adj_cols)]
+                    for col, row in zip(cols, bordered)]
+            for prefix in product(values, repeat=m - 1):
+                v = prefix + (0, 1)
+                c = sum(x * _dot(q, v) for x, q in zip(v, quad))
+                for x in _integer_roots(quad[-2][-2], 2 * _dot(quad[-2], v),
+                                        c, values):
+                    yield rows + (prefix + (x,),)
+
+
+def _integer_roots(a: int, b: int, c: int, values: range) -> Sequence[int]:
+    """The x in ``values`` with a x^2 + b x + c = 0, ascending."""
+    if a == 0 == b:
+        return values if c == 0 else ()
+    disc = b * b - 4 * a * c
+    s = isqrt(max(disc, 0))
+    if a and s * s != disc:
+        return ()
+    quotients = [(e - b, 2 * a) for e in (s, -s)] if a else [(-c, b)]
+    return sorted({p // q for p, q in quotients
+                   if p % q == 0 and p // q in values})
 
 
 def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
@@ -251,8 +278,8 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
     integers (see ``_CrossScreen``): cos^2(theta) must be an eigenvalue of
     G+^{-1} C G-^{-1} C^T, or its only eigenvalue when ``pure`` is set.
     The pure screen is a row-by-row enumeration that never visits most of
-    the box; the general screen tests every block with one integer
-    determinant.  Each surviving pushout must then pass structural
+    the box; the general screen solves an integer quadratic for the last
+    entry of each block.  Each surviving pushout must then pass structural
     validation, have the angle in its spectrum with multiplicity
     d_theta >= 1 (general case) and a feasible ample-cone compatibility
     system.  Equal Grams that differ only by basis permutations preserving
@@ -263,12 +290,7 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
         raise ValueError("bound must be nonnegative")
     if plus.rank > 3 or minus.rank > 3:
         raise ValueError("cross-term search supports blocks of rank <= 3")
-    if isinstance(theta, str):
-        theta_text = theta
-    else:
-        f = Fraction(theta)
-        sign = "-" if f < 0 else ""
-        theta_text = f"{sign}{abs(f).numerator}/{abs(f).denominator}pi"
+    theta_text = theta if isinstance(theta, str) else f"{Fraction(theta)}pi"
     theta_frac, _ = parse_theta(theta_text)
     screen = _CrossScreen(plus.N.gram, minus.N.gram, COS_SQUARED[theta_frac])
     rp, rm = plus.rank, minus.rank

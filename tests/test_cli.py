@@ -46,7 +46,7 @@ def test_catalog_show_unknown_id(runner):
 def test_catalog_validate(runner):
     result = invoke(runner, "catalog", "validate")
     assert result.exit_code == 0
-    assert "66" in result.output
+    assert result.output == "66 blocks OK\n"
 
 
 def test_catalog_override_missing_file(runner):
@@ -102,6 +102,28 @@ RANK1_MATCH_DIGESTS = [
 def test_match_rank1_json_bytes(runner, plus, minus, theta, digest):
     result = invoke(runner, "match", "--plus", plus, "--minus", minus,
                     "--theta", theta, "--format", "json")
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+# sha256 of ``match --bound b --format json`` without --pure, recorded
+# while the general screen still took one determinant per block.
+GENERAL_MATCH_DIGESTS = [
+    ("5.15_2", "3.9_27", "1/4pi", 3,
+     "a19c831fb5a6811a7f335ec316f00026b703669cba6946b7d4bb37c3421c9021"),
+    ("3.26_2", "3.22_3", "1/6pi", 5,
+     "388c2a31d67b5fe100819ca0d51e32b3d4495fcc3b5b821ba64bedb5ceb8f17e"),
+    ("5.15_3", "3.10", "1/4pi", 1,  # "[]"
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+]
+
+
+@pytest.mark.parametrize("plus,minus,theta,bound,digest",
+                         GENERAL_MATCH_DIGESTS)
+def test_match_general_json_bytes(runner, plus, minus, theta, bound, digest):
+    result = invoke(runner, "match", "--plus", plus, "--minus", minus,
+                    "--theta", theta, "--bound", str(bound),
+                    "--format", "json")
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
@@ -465,9 +487,15 @@ _REMOVED = object()
 
 def _write_catalog_mutant(directory, index, field, value):
     """The shipped catalog with one field of block ``index`` replaced
-    (or removed, for ``_REMOVED``)."""
+    (or removed, for ``_REMOVED``).  A dotted field such as
+    "derivation.c2.r" names a field of a nested object, made if absent."""
     doc = json.loads(json.dumps(_SHIPPED_CATALOG))
+    *parents, field = field.split(".")
     record = doc["blocks"][index]
+    for name in parents:
+        if not isinstance(record.get(name), dict):
+            record[name] = {}
+        record = record[name]
     if value is _REMOVED:
         record.pop(field, None)
     else:
@@ -499,6 +527,33 @@ def test_catalog_rejects_a_mistyped_record_field(runner, tmp_path, block_id,
     assert f"{block_id}: field {field!r}" in result.stderr
 
 
+@pytest.mark.parametrize("value", ["x", {"method": 5}, None, [1],
+                                   {"method": "rank1_fano"},
+                                   {"method": "smoothed", "r": 2,
+                                    "minus_k_row": ["2"]},
+                                   {"method": "smoothed", "r": 12,
+                                    "minus_k_row": [2]}])
+@pytest.mark.parametrize("command", ["list", "validate"])
+def test_catalog_rejects_a_malformed_derivation(runner, tmp_path, value,
+                                                command):
+    path = _write_catalog_mutant(tmp_path, _block_index("3.22_3"),
+                                 "derivation", value)
+    result = invoke(runner, "--catalog", path, "catalog", command)
+    assert result.exit_code == 4
+    assert "3.22_3: derivation: " in result.stderr
+
+
+def test_catalog_validate_names_a_block_it_did_not_rederive(runner,
+                                                            tmp_path):
+    path = _write_catalog_mutant(tmp_path, _block_index("3.22_3"),
+                                 "derivation", _REMOVED)
+    assert invoke(runner, "--catalog", path, "catalog", "list").exit_code == 0
+    result = invoke(runner, "--catalog", path, "catalog", "validate")
+    assert result.exit_code == 1
+    assert result.stdout == "3.22_3: no derivation, not re-derived\n"
+    assert "blocks OK" not in result.output
+
+
 # Strings over this alphabet cannot spell a word that _LEAK looks for.
 _RECORD_SCALAR = st.one_of(
     st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
@@ -513,18 +568,38 @@ _RECORD_FIELDS = sorted({k for rec in _SHIPPED_CATALOG["blocks"]
                          for k in rec})
 
 
-@settings(max_examples=80, deadline=None)
+def _paths(obj, prefix):
+    for key, value in obj.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + key + ".")
+
+
+# The fields of the derivation records, nested ones included.
+_DERIVATION_FIELDS = sorted({p for rec in _SHIPPED_CATALOG["blocks"]
+                             for p in _paths(rec["derivation"],
+                                             "derivation.")})
+
+
+@settings(max_examples=120, deadline=None)
 @given(index=st.integers(0, len(_SHIPPED_CATALOG["blocks"]) - 1),
-       field=st.sampled_from(_RECORD_FIELDS),
+       field=st.sampled_from(_RECORD_FIELDS + _DERIVATION_FIELDS),
        value=st.one_of(_RECORD_VALUE, st.just(_REMOVED)))
 def test_catalog_fuzzed_record_fields(tmp_path_factory, index, field, value):
     path = _write_catalog_mutant(tmp_path_factory.getbasetemp(), index,
                                  field, value)
-    result = CliRunner().invoke(main, ["--catalog", path, "catalog", "list"])
-    assert result.exit_code in (0, 4), result.output
-    assert result.exception is None or isinstance(result.exception,
-                                                  SystemExit)
-    assert not _LEAK.search(result.output), result.output
+    codes = []
+    for command, allowed in (("list", (0, 4)), ("validate", (0, 1, 4))):
+        result = CliRunner().invoke(main, ["--catalog", path, "catalog",
+                                           command])
+        assert result.exit_code in allowed, result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert not _LEAK.search(result.output), result.output
+        codes.append(result.exit_code)
+    assert (codes[0] == 4) == (codes[1] == 4)
+    if field == "derivation" and value is _REMOVED:
+        assert codes[1] == 1
 
 def test_invariants_missing_file(runner):
     result = invoke(runner, "invariants", "--config", "/nonexistent.json")

@@ -10,18 +10,20 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from g2tcs import search
 from g2tcs.catalog import load_catalog
 from g2tcs.configuration import (COS_SQUARED, ConfigurationError, d_theta,
                                  feasibility_cone_check, make_configuration,
                                  parse_theta, validate_configuration)
-from g2tcs.exact import RationalMatrix
+from g2tcs.exact import RationalMatrix, int_det
 from g2tcs.fixtures import EXAMPLES
 from g2tcs.invariants import UnsupportedAngle, full_report
 from g2tcs.search import (MatchCandidate, _canonical_gram, _CrossScreen,
-                          _gram_permutations, cross_term_search)
+                          _gram_permutations, _integer_roots,
+                          cross_term_search)
 
 
 def _cross_blocks(rho_plus, rho_minus, bound):
@@ -46,6 +48,12 @@ def fraction_pure(plus, minus, cos2, cross):
 def fraction_singular(plus, minus, cos2, cross):
     target = RationalMatrix.identity(plus.rank).scaled(cos2)
     return (_composition(plus, minus, cross) - target).det() == 0
+
+
+def integer_pure(screen, cross):
+    """D(C) = 0 for the screen's integer deviation D."""
+    deviation = screen._deviation([screen._scaled(r) for r in cross], cross)
+    return not any(any(row) for row in deviation)
 
 
 def brute_force_search(plus, minus, theta_text, bound, pure):
@@ -134,7 +142,8 @@ def screen_inputs(draw):
 def test_integer_predicates_match_fraction_screen(inputs):
     plus, minus, cos2, cross = inputs
     screen = _CrossScreen(plus.N.gram, minus.N.gram, cos2)
-    assert screen.is_pure(cross) == fraction_pure(plus, minus, cos2, cross)
+    assert integer_pure(screen, cross) == \
+        fraction_pure(plus, minus, cos2, cross)
     assert screen.is_singular(cross) == \
         fraction_singular(plus, minus, cos2, cross)
 
@@ -151,7 +160,8 @@ def test_worked_cross_blocks_pass_screen(name):
     cross = tuple(tuple(row[plus.rank:]) for row in rows[:plus.rank])
     screen = _CrossScreen(plus.N.gram, minus.N.gram, cos2)
     assert screen.is_singular(cross)
-    assert screen.is_pure(cross) == fraction_pure(plus, minus, cos2, cross)
+    assert integer_pure(screen, cross) == \
+        fraction_pure(plus, minus, cos2, cross)
 
 
 # ------------------------------------------------------- 3x3 pure search
@@ -169,3 +179,152 @@ def test_pure_3x3_search_rediscovers_example_8_6(catalog):
 def test_screen_rejects_degenerate_block():
     with pytest.raises(ValueError):
         _CrossScreen([[2]], [[2, 2], [2, 2]], Fraction(1, 2))
+
+
+# ------------------------------------- general screen vs per-block oracle
+
+def _screen(plus, minus, theta):
+    return _CrossScreen(plus.N.gram, minus.N.gram,
+                        COS_SQUARED[parse_theta(theta)[0]])
+
+
+def _singular_stream(screen, plus, minus, bound):
+    """The oracle stream: every block of the box with singular D(C), in
+    the box's row-major order, one integer determinant per block."""
+    return [cross for cross in _cross_blocks(plus.rank, minus.rank, bound)
+            if screen.is_singular(cross)]
+
+
+# (plus, minus, theta, bound): example 8.8's 2x2 box, a 3x3 box of 19 683
+# blocks, and the 1x1, 1xk and kx1 shapes.
+STREAM_CASES = [
+    ("5.15_2", "3.9_27", "1/4pi", 3),     # 2x2, example 8.8
+    ("5.15_3", "3.10", "1/4pi", 1),       # 3x3
+    ("3.21", "3.8_1_18", "1/4pi", 6),     # 1x1
+    ("3.22_1", "3.9_10", "1/4pi", 4),     # 1x2, example 8.7
+    ("3.22_1", "3.10", "1/4pi", 2),       # 1x3
+    ("3.23_6", "3.8_2_3", "-1/4pi", 3),   # 2x1, example 8.12
+    ("3.10", "3.22_1", "1/4pi", 2),       # 3x1
+]
+
+
+@pytest.mark.parametrize("plus_id,minus_id,theta,bound", STREAM_CASES)
+def test_general_screen_streams_the_singular_blocks_in_box_order(
+        catalog, plus_id, minus_id, theta, bound):
+    plus, minus = catalog.get(plus_id), catalog.get(minus_id)
+    screen = _screen(plus, minus, theta)
+    expected = _singular_stream(screen, plus, minus, bound)
+    assert expected
+    assert list(screen.blocks(bound, pure=False)) == expected
+
+
+def test_general_screen_takes_the_whole_range_on_a_zero_quadratic(
+        catalog, monkeypatch):
+    """On 5.15_3 x 3.10 some prefixes of the last row leave det D(C) = 0
+    for every value of its last entry."""
+    zero = []
+
+    def spy(a, b, c, values):
+        if a == b == c == 0:
+            zero.append(values)
+        return _integer_roots(a, b, c, values)
+
+    monkeypatch.setattr(search, "_integer_roots", spy)
+    plus, minus = catalog.get("5.15_3"), catalog.get("3.10")
+    screen = _screen(plus, minus, "1/4pi")
+    blocks = list(screen.blocks(1, pure=False))
+    assert zero and all(values == range(-1, 2) for values in zero)
+    assert blocks == _singular_stream(screen, plus, minus, 1)
+
+
+@st.composite
+def screen_boxes(draw):
+    """Blocks of rank <= 3, any cos^2 value, and a bound of 0-2 whose box
+    holds at most 3^7 blocks."""
+    plus = draw(st.sampled_from(_SMALL_BLOCKS))
+    minus = draw(st.sampled_from(_SMALL_BLOCKS))
+    cells = plus.rank * minus.rank
+    top = max(b for b in range(3) if (2 * b + 1) ** cells <= 3 ** 7)
+    cos2 = draw(st.sampled_from(sorted(set(COS_SQUARED.values()))))
+    return plus, minus, cos2, draw(st.integers(0, top))
+
+
+@given(screen_boxes())
+@settings(max_examples=60, deadline=None)
+def test_general_screen_matches_the_box_filter(box):
+    plus, minus, cos2, bound = box
+    screen = _CrossScreen(plus.N.gram, minus.N.gram, cos2)
+    assert list(screen.blocks(bound, pure=False)) == \
+        _singular_stream(screen, plus, minus, bound)
+
+
+def test_general_search_takes_no_determinant_per_block(catalog,
+                                                       monkeypatch):
+    """int_det runs twice for det G+- and then once per head (the rows
+    but the last), never once per block of the box."""
+    calls = []
+
+    def counting_det(matrix):
+        calls.append(len(matrix))
+        return int_det(matrix)
+
+    monkeypatch.setattr(search, "int_det", counting_det)
+    hits = cross_term_search(catalog.get("5.15_2"), catalog.get("3.9_27"),
+                             "1/4pi", 3)
+    assert hits
+    assert len(calls) <= 2 + 7 ** 2  # 2x2 box at bound 3: 49 heads
+    calls.clear()
+    hits = cross_term_search(catalog.get("3.22_1"), catalog.get("3.9_10"),
+                             "1/4pi", 4)
+    assert hits
+    assert len(calls) == 2  # rank-1 plus side: one empty head
+
+
+# ------------------------------------------------- the quadratic root step
+
+def _brute_roots(a, b, c, values):
+    return [x for x in values if a * x * x + b * x + c == 0]
+
+
+@pytest.mark.parametrize("a", [0, 3])
+@pytest.mark.parametrize("b", [0, -6])
+@pytest.mark.parametrize("c", [0, -9])
+def test_integer_roots_with_zero_coefficients(a, b, c):
+    values = range(-5, 6)
+    assert list(_integer_roots(a, b, c, values)) == \
+        _brute_roots(a, b, c, values)
+
+
+BIG = 2 ** 64
+_COEFF = st.one_of(st.just(0), st.integers(-20, 20),
+                   st.integers(-BIG ** 2, BIG ** 2))
+
+
+@st.composite
+def quadratics(draw):
+    """(a, b, c, values): free coefficients, or k (x - r1)(x - r2) and
+    k x - k r1 with k up to 2^128 so that roots are hit."""
+    lo = draw(st.integers(-12, 12))
+    values = range(lo, lo + draw(st.integers(0, 12)))
+    root = st.integers(-15, 15)
+    k = draw(st.one_of(st.integers(-20, 20), st.integers(-BIG ** 2, BIG ** 2)))
+    r1, r2 = draw(root), draw(root)
+    return draw(st.one_of(
+        st.tuples(_COEFF, _COEFF, _COEFF),
+        st.just((k, -k * (r1 + r2), k * r1 * r2)),
+        st.just((0, k, -k * r1)))) + (values,)
+
+
+@given(quadratics())
+@settings(max_examples=400, deadline=None)
+@example((1, 0, 1, range(-5, 6)))              # negative discriminant
+@example((1, 0, -2, range(-5, 6)))             # non-square discriminant
+@example((4, 0, -1, range(-5, 6)))             # square disc, roots +-1/2
+@example((BIG, -2 * BIG * 3, 9 * BIG, range(-5, 6)))  # double root 3
+@example((-BIG, BIG * 5, BIG * 14, range(-10, 10)))   # a < 0: -2 and 7
+@example((0, 3, 2, range(-5, 6)))              # linear, no integer root
+@example((0, 0, 0, range(0, 0)))               # empty range
+def test_integer_roots_match_brute_force(quadratic):
+    a, b, c, values = quadratic
+    assert list(_integer_roots(a, b, c, values)) == \
+        _brute_roots(a, b, c, values)

@@ -19,10 +19,9 @@ def test_gen_catalog_reproduces_the_shipped_catalog():
 
 SRC = Path(g2tcs.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-# Screen predicates that only tests/test_cross_screen.py calls: it checks
-# them against the Fraction screen, as the reference for ``blocks``.
-UNUSED_ALLOWED = {"search._CrossScreen.is_pure",
-                  "search._CrossScreen.is_singular"}
+# The screen predicate that only tests/test_cross_screen.py calls: it is
+# checked against the Fraction screen, as the reference for ``blocks``.
+UNUSED_ALLOWED = {"search._CrossScreen.is_singular"}
 
 
 def _definitions(tree):

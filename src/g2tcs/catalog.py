@@ -200,6 +200,8 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
     if not isinstance(doc, dict) or doc.get("format") != \
             "g2tcs-block-catalog":
         raise CatalogError(f"{path!r} is not a block-catalog document")
+    if not _typed(doc.get("version"), int):
+        raise CatalogError(f"{path!r}: 'version' must be an integer")
     records = doc.get("blocks")
     if not isinstance(records, list):
         raise CatalogError(f"{path!r}: 'blocks' must be a list")

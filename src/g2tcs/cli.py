@@ -12,11 +12,10 @@ from fractions import Fraction
 import click
 
 from .catalog import CatalogError, load_catalog, verify_catalog
-from .configuration import (ConfigurationError, make_configuration,
-                            parse_theta, pushout_from_glue,
-                            validate_configuration)
+from .configuration import (make_configuration, parse_theta,
+                            pushout_from_glue, validate_configuration)
 from .fixtures import EXAMPLES, TABLE4, TABLE5, table5_pushout
-from .invariants import (InvariantReport, UnsupportedAngle, full_report,
+from .invariants import (InvariantReport, full_report,
                          linking_forms_equivalent)
 from .search import (MatchCandidate, cross_term_search, rank1_candidate,
                      rank1_candidate_count, rank1_pi4_search)
@@ -218,8 +217,7 @@ def match(ctx, plus_id, minus_id, theta, pure, bound, fmt):
                       "blocks of rank > 1 need an explicit --bound")
             cand = rank1_candidate(plus, minus, theta)
             candidates = [] if cand is None else [cand]
-    except (ConfigurationError, UnsupportedAngle, ArithmeticError,
-            ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     if fmt == "json":
         _emit_json([_candidate_doc(c) for c in candidates])
@@ -306,8 +304,7 @@ def invariants(ctx, config_path, fmt):
         if not check.ok:
             _fail(EXIT_VALIDATION, "; ".join(check.problems))
         report = full_report(cfg)
-    except (ConfigurationError, UnsupportedAngle, ArithmeticError,
-            ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     if fmt == "json":
         _emit_json(_report_doc(report))

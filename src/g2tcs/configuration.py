@@ -6,6 +6,9 @@ primitive embeddings of the polarising lattices N+ and N- into the K3
 lattice, recorded here by the Gram matrix of the (possibly degenerate)
 pushout presentation on the concatenated bases of N+ and N-.
 
+``GluingAngle`` decides once, from the two block kinds and theta, which
+quotient of each block is glued: the torus flags, side roles and pi1.
+
 All angles are exact rational multiples of pi; cosines enter only
 through the rational values cos^2(theta) and cos(2 psi).
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
@@ -41,9 +44,6 @@ COS_SQUARED = {
     Fraction(3, 4): Fraction(1, 2),
     Fraction(5, 6): Fraction(3, 4),
 }
-
-SQUARE = "square"
-HEXAGONAL = "hexagonal"
 
 
 class ConfigurationError(ValueError):
@@ -77,44 +77,68 @@ def parse_theta(text: str) -> Tuple[Fraction, int]:
     return theta, orientation
 
 
-def infer_family(theta: Fraction) -> str:
-    """Default angle family for a fraction of pi (pi/2 defaults to square)."""
-    return SQUARE if theta.denominator in (2, 4) else HEXAGONAL
+INVOLUTION, ORDINARY = "involution", "ordinary"
+SIMPLY_CONNECTED = "simply_connected"
+
+# The gluings at theta and at 1 - theta (fractions of pi), in order of
+# preference: the side roles, the torus flags (b+, b-) and the pi1 class.
+# A side in its involution role needs an involution block; any block can
+# take the ordinary role. A quarter-turn twists only the plus side, so the
+# minus block takes its ordinary role even when it carries an involution.
+_GLUINGS = {
+    Fraction(1, 6): [((INVOLUTION, INVOLUTION), (1, 0), SIMPLY_CONNECTED)],
+    Fraction(1, 4): [((INVOLUTION, ORDINARY), (1, 0), SIMPLY_CONNECTED)],
+    Fraction(1, 3): [((INVOLUTION, INVOLUTION), (1, 1), SIMPLY_CONNECTED)],
+    Fraction(1, 2): [((INVOLUTION, INVOLUTION), (1, 1), "pi1_Z2"),
+                     ((ORDINARY, ORDINARY), (0, 0), SIMPLY_CONNECTED)],
+}
 
 
 @dataclass(frozen=True)
 class GluingAngle:
-    """Exact gluing angle with its family and torus gluing flags.
+    """The gluing decision: an exact angle for two block kinds.
 
     theta is a fraction of pi in (0, 1); orientation records a negated
-    input angle (it flips the sign of nu_bar only); b_plus/b_minus are
-    the torus double-cover flags of the two sides.
+    input angle (it flips the sign of nu_bar only). From the kinds and
+    theta the constructor takes the first gluing of ``_GLUINGS`` whose
+    involution roles the kinds fill: the side ``roles``, the torus flags
+    ``b_plus``/``b_minus`` and the ``pi1`` class. If none fits it raises
+    ConfigurationError, so no angle with inconsistent flags exists.
     """
 
-    family: str
+    kind_plus: str
+    kind_minus: str
     theta: Fraction
-    b_plus: int
-    b_minus: int
     orientation: int = 1
+    roles: Tuple[str, str] = field(init=False)
+    b_plus: int = field(init=False)
+    b_minus: int = field(init=False)
+    pi1: str = field(init=False)
 
     def __post_init__(self):
-        if self.family not in (SQUARE, HEXAGONAL):
-            raise ConfigurationError(f"unknown family {self.family!r}")
         if self.theta not in COS_SQUARED:
             raise ConfigurationError(f"inadmissible theta {self.theta}*pi")
-        # theta = k*pi/2 (square) or k*pi/3 (hexagonal) with k in (1/2)Z
-        # and k = (b_plus + b_minus)/2 mod Z.
-        k = self.theta * (2 if self.family == SQUARE else 3)
-        if k.denominator not in (1, 2):
+        kinds = (self.kind_plus, self.kind_minus)
+        for roles, flags, pi1 in _GLUINGS[min(self.theta, 1 - self.theta)]:
+            if all(role == ORDINARY or kind == INVOLUTION
+                   for role, kind in zip(roles, kinds)):
+                break
+        else:
+            family = "square" if self.theta.denominator % 3 else "hexagonal"
             raise ConfigurationError(
-                f"theta {self.theta}*pi is not a half-integer multiple of "
-                f"pi/{2 if self.family == SQUARE else 3}")
-        if (2 * k - self.b_plus - self.b_minus) % 2 != 0:
-            raise ConfigurationError(
-                "angle parity violated: 2k and b_plus + b_minus must have "
-                "equal parity")
+                f"blocks ({self.kind_plus}, {self.kind_minus}) admit no "
+                f"torus flags for the {family} family")
         if type(self.orientation) is not int or abs(self.orientation) != 1:
             raise ConfigurationError("orientation must be +1 or -1")
+        for name, value in zip(("roles", "b_plus", "b_minus", "pi1"),
+                               (roles, *flags, pi1)):
+            object.__setattr__(self, name, value)
+
+    def require_simply_connected(self) -> None:
+        """Raise ValueError unless pi1 is trivial, as the invariants need."""
+        if self.pi1 != SIMPLY_CONNECTED:
+            raise ValueError(f"invariant pipeline covers simply connected "
+                             f"gluings; got {self.pi1}")
 
     @property
     def cos_squared(self) -> Fraction:
@@ -130,67 +154,6 @@ class GluingAngle:
     def describe(self) -> str:
         sign = "-" if self.orientation < 0 else ""
         return f"{sign}{self.theta.numerator}/{self.theta.denominator}pi"
-
-
-def _role_flags(kind_plus: str, kind_minus: str, family: str,
-                theta: Fraction) -> Optional[Tuple[int, int]]:
-    """Default torus flags (b+, b-) for the given block kinds, or None."""
-    if family == SQUARE:
-        if theta == Fraction(1, 2):
-            both = kind_plus == kind_minus == "involution"
-            return (1, 1) if both else (0, 0)
-        # A quarter-turn gluing twists only the plus side; the minus block
-        # is used in its ordinary role even when it carries an involution.
-        if kind_plus != "involution":
-            return None
-        return (1, 0)
-    # Hexagonal gluings need involution blocks on both sides.
-    if kind_plus != "involution" or kind_minus != "involution":
-        return None
-    if theta in (Fraction(1, 3), Fraction(2, 3)):
-        return (1, 1)
-    return (1, 0)
-
-
-_PI1_TABLE = {
-    (SQUARE, 1, 0, Fraction(1, 4)): "simply_connected",
-    (SQUARE, 1, 0, Fraction(3, 4)): "simply_connected",
-    (SQUARE, 0, 0, Fraction(1, 2)): "simply_connected",
-    (SQUARE, 1, 1, Fraction(1, 2)): "pi1_Z2",
-    (HEXAGONAL, 1, 1, Fraction(1, 3)): "simply_connected",
-    (HEXAGONAL, 1, 1, Fraction(2, 3)): "simply_connected",
-    (HEXAGONAL, 1, 0, Fraction(1, 6)): "simply_connected",
-    (HEXAGONAL, 1, 0, Fraction(5, 6)): "simply_connected",
-    (HEXAGONAL, 1, 0, Fraction(1, 2)): "pi1_Z2",
-    (HEXAGONAL, 0, 0, Fraction(1, 3)): "pi1_Z3",
-    (HEXAGONAL, 0, 0, Fraction(2, 3)): "pi1_Z3",
-}
-
-
-def admissible_angle(kind_plus: str, kind_minus: str, family: str,
-                     theta: Fraction, b_plus: Optional[int] = None,
-                     b_minus: Optional[int] = None) -> str:
-    """Fundamental-group class of a gluing, or "inadmissible".
-
-    Looks up the case table of admissible (family, b+, b-, theta)
-    combinations. When the torus flags are not given they default to the
-    maximal-symmetry choice for the block kinds.
-    """
-    theta = abs(theta)
-    if b_plus is None or b_minus is None:
-        flags = _role_flags(kind_plus, kind_minus, family, theta)
-        if flags is None:
-            return "inadmissible"
-        b_plus, b_minus = flags
-    # A flagged side needs an involution block; an unflagged square side
-    # needs the block in its ordinary role; an unflagged hexagonal side
-    # still needs an involution block.
-    for b, kind in ((b_plus, kind_plus), (b_minus, kind_minus)):
-        if b == 1 and kind != "involution":
-            return "inadmissible"
-        if b == 0 and family == HEXAGONAL and kind != "involution":
-            return "inadmissible"
-    return _PI1_TABLE.get((family, b_plus, b_minus, theta), "inadmissible")
 
 
 def per_configuration(fn):
@@ -313,20 +276,16 @@ class Configuration:
                       tuple(sorted(roots, key=lambda r: r[0] * s)),
                       tuple(cofactor))
 
-    def pi1(self) -> str:
-        return admissible_angle(self.plus.kind, self.minus.kind,
-                                self.angle.family, self.angle.theta,
-                                self.angle.b_plus, self.angle.b_minus)
-
 
 def make_configuration(plus: BuildingBlock, minus: BuildingBlock,
                        theta, pushout_rows: Sequence[Sequence[int]],
-                       family: Optional[str] = None,
                        orientation: Optional[int] = None) -> Configuration:
     """Build a configuration from blocks, an angle and a full pushout Gram.
 
     theta may be a string ("1/4pi") or a Fraction of pi (negative for the
-    reversed orientation).
+    reversed orientation). The angle is the gluing decision of the two
+    block kinds (``GluingAngle``), which raises ConfigurationError when
+    they admit no torus flags at theta.
     """
     if isinstance(theta, str):
         theta, parsed_orientation = parse_theta(theta)
@@ -337,14 +296,7 @@ def make_configuration(plus: BuildingBlock, minus: BuildingBlock,
         if orientation is None:
             orientation = 1 if theta > 0 else -1
         theta = abs(theta)
-    family = family or infer_family(theta)
-    flags = _role_flags(plus.kind, minus.kind, family, theta)
-    if flags is None:
-        raise ConfigurationError(
-            f"blocks ({plus.kind}, {minus.kind}) admit no torus flags for "
-            f"the {family} family")
-    angle = GluingAngle(family=family, theta=theta, b_plus=flags[0],
-                        b_minus=flags[1], orientation=orientation)
+    angle = GluingAngle(plus.kind, minus.kind, theta, orientation)
     gram = GramLattice.from_rows(pushout_rows)
     return Configuration(plus=plus, minus=minus, angle=angle, pushout=gram)
 

@@ -64,23 +64,18 @@ def betti(cfg: Configuration) -> Tuple[int, int]:
 
     b2 is the nullity n0 of the pushout's inertia, the rank of its radical
     (the intersection of the two polarising lattices); b3 combines the block
-    contributions, with a side entering through b3+ whenever it is used
-    in its involution role.
+    contributions, with a side entering through b3+ when the gluing
+    decision (``GluingAngle.roles``) uses it in its involution role.
     """
-    if cfg.pi1() != "simply_connected":
+    if cfg.angle.pi1 != "simply_connected":
         raise ValueError(
             f"Betti formula applies to simply connected gluings; this "
-            f"configuration has pi1 class {cfg.pi1()!r}")
+            f"configuration has pi1 class {cfg.angle.pi1!r}")
     b2 = cfg.inertia()[2]
-
-    def side_b3(block, b_flag: int) -> int:
-        involution_role = (cfg.angle.family == "hexagonal" or b_flag == 1)
-        return block.b3plus if involution_role else block.b3
-
-    b3 = (23 - cfg.rho_plus - cfg.rho_minus + b2
-          + side_b3(cfg.plus, cfg.angle.b_plus)
-          + side_b3(cfg.minus, cfg.angle.b_minus)
-          + d_theta(cfg))
+    side_b3 = sum(block.b3plus if role == "involution" else block.b3
+                  for block, role in zip((cfg.plus, cfg.minus),
+                                         cfg.angle.roles))
+    b3 = 23 - cfg.rho_plus - cfg.rho_minus + b2 + side_b3 + d_theta(cfg)
     return b2, b3
 
 
@@ -110,15 +105,11 @@ def boundary_data(cfg: Configuration) -> BoundaryData:
     For theta = pi/4 the domain is the even-dual sublattice of N+ plus
     all of N-, and p(M) maps to (c2bar+/2, -c2bar-); for pi/6 both
     sides contribute their even-dual sublattices and p(M) maps to
-    (c2bar+/2, -c2bar-/2).
+    (c2bar+/2, -c2bar-/2). The gluing decision (``GluingAngle``) has put
+    involution blocks on those sides.
     """
     c2 = _require_torsion_angle(cfg)
     rp, rm = cfg.rho_plus, cfg.rho_minus
-    if cfg.plus.kind != "involution":
-        raise ValueError("the plus block must carry an involution")
-    if c2 == Fraction(3, 4) and cfg.minus.kind != "involution":
-        raise ValueError("hexagonal gluing needs involution blocks on "
-                         "both sides")
     Gp, Gm = cfg.plus.N.gram, cfg.minus.N.gram
     C = cfg.cross_block()
     Bp = even_dual_kernel(cfg.plus.N)  # rows: domain basis in N+ coords
@@ -616,13 +607,7 @@ def full_report(cfg: Configuration) -> InvariantReport:
     v = validate_configuration(cfg)
     if not v.ok:
         raise ValueError("invalid configuration: " + "; ".join(v.problems))
-    pi1 = cfg.pi1()
-    if pi1 == "inadmissible":
-        raise ValueError("inadmissible block/angle combination")
-    if pi1 != "simply_connected":
-        raise ValueError(
-            f"invariant pipeline covers simply connected gluings; got "
-            f"{pi1}")
+    cfg.angle.require_simply_connected()
     b2, b3 = betti(cfg)
     angles = configuration_angles(cfg)
     nb = nu_bar(angles, cfg.angle.theta, cfg.angle.orientation)
@@ -657,7 +642,7 @@ def full_report(cfg: Configuration) -> InvariantReport:
         raise ArithmeticError("parity relation between nu and the Betti "
                               "numbers violated")
     return InvariantReport(
-        pi1=pi1, b2=b2, b3=b3, theta=cfg.angle.theta,
+        pi1=cfg.angle.pi1, b2=b2, b3=b3, theta=cfg.angle.theta,
         orientation=cfg.angle.orientation, pure=pure,
         torsion_supported=supported, torsion=torsion, linking=linking,
         d_free=d_free, d_full=d_full, p_torsion_clean=clean,

@@ -4,7 +4,9 @@ Two closed-form searches cover rank-1 x rank-1 gluings (where the cross
 term is determined up to sign by the generator squares).  For higher ranks
 a bounded search screens integer cross-blocks exactly, building them row by
 row for pure angles and otherwise solving an integer quadratic for the last
-entry of each block.
+entry of each block.  Every search makes the gluing decision of its pair
+(``GluingAngle``) once, before it enumerates: a pair whose kinds admit no
+torus flags, or whose gluing is not simply connected, fails at every bound.
 """
 
 from dataclasses import dataclass
@@ -16,8 +18,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import BuildingBlock, Catalog
 from .configuration import (
-    COS_SQUARED,
+    INVOLUTION,
+    SIMPLY_CONNECTED,
     ConfigurationError,
+    GluingAngle,
     d_theta,
     feasibility_cone_check,
     make_configuration,
@@ -26,7 +30,7 @@ from .configuration import (
     validate_configuration,
 )
 from .exact import adjugate, int_det
-from .invariants import InvariantReport, UnsupportedAngle, full_report
+from .invariants import InvariantReport, full_report
 
 __all__ = [
     "MatchCandidate",
@@ -53,16 +57,21 @@ class MatchCandidate:
 def _rank1_pairs(catalog: Catalog, theta: Fraction
                  ) -> List[Tuple[BuildingBlock, BuildingBlock]]:
     """Ordered rank-1 block pairs scanned at the angle theta (a fraction of
-    pi): involution blocks on the plus side; at +-pi/6 involution blocks on
-    the minus side too, otherwise blocks usable in their ordinary role."""
-    plus = [b for b in catalog.blocks
-            if b.kind == "involution" and b.rank == 1]
-    if abs(theta) == Fraction(1, 6):
-        minus = plus
-    else:
-        minus = [b for b in catalog.blocks if b.rank == 1
-                 and (b.kind == "ordinary" or b.ordinary_ok)]
-    return [(p, m) for p in plus for m in minus]
+    pi): the pairs whose gluing decision is simply connected, less those
+    with a block in its ordinary role that is not ``ordinary_ok``."""
+    rank1 = [b for b in catalog.blocks if b.rank == 1]
+    roles = {}  # the side roles of each pair of kinds the scan admits
+    for kinds in product({b.kind for b in rank1}, repeat=2):
+        try:
+            angle = GluingAngle(*kinds, abs(theta))
+        except ConfigurationError:
+            continue
+        if angle.pi1 == SIMPLY_CONNECTED:
+            roles[kinds] = angle.roles
+    return [pair for pair in product(rank1, repeat=2)
+            if (pair[0].kind, pair[1].kind) in roles and all(
+                role == INVOLUTION or block.ordinary_ok for block, role
+                in zip(pair, roles[pair[0].kind, pair[1].kind]))]
 
 
 def rank1_candidate(plus: BuildingBlock, minus: BuildingBlock,
@@ -274,7 +283,9 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
                       bound: int, pure: bool = False) -> List[MatchCandidate]:
     """Enumerate pushouts with integer cross-blocks of bounded entries.
 
-    Cross-blocks C with entries in [-bound, bound] are first screened in
+    The gluing decision of the pair is made first: ConfigurationError when
+    the kinds admit no torus flags, ValueError when pi1 is not trivial.
+    Cross-blocks C with entries in [-bound, bound] are then screened in
     integers (see ``_CrossScreen``): cos^2(theta) must be an eigenvalue of
     G+^{-1} C G-^{-1} C^T, or its only eigenvalue when ``pure`` is set.
     The pure screen is a row-by-row enumeration that never visits most of
@@ -291,8 +302,10 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
     if plus.rank > 3 or minus.rank > 3:
         raise ValueError("cross-term search supports blocks of rank <= 3")
     theta_text = theta if isinstance(theta, str) else f"{Fraction(theta)}pi"
-    theta_frac, _ = parse_theta(theta_text)
-    screen = _CrossScreen(plus.N.gram, minus.N.gram, COS_SQUARED[theta_frac])
+    theta_frac, orientation = parse_theta(theta_text)
+    angle = GluingAngle(plus.kind, minus.kind, theta_frac, orientation)
+    angle.require_simply_connected()
+    screen = _CrossScreen(plus.N.gram, minus.N.gram, angle.cos_squared)
     rp, rm = plus.rank, minus.rank
     perms_plus = _gram_permutations(plus.N.gram)
     perms_minus = _gram_permutations(minus.N.gram)
@@ -313,10 +326,7 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
         key = _canonical_gram(rows, rp, perms_plus, perms_minus)
         if key in seen:
             continue
-        try:
-            report = full_report(cfg)
-        except (ConfigurationError, UnsupportedAngle):
-            continue
+        report = full_report(cfg)
         seen.add(key)
         out.append(MatchCandidate(
             plus_id=plus.id, minus_id=minus.id, theta=report.theta,

@@ -1,16 +1,22 @@
+import functools
 import hashlib
 import json
+import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2tcs.catalog import default_catalog_path
+from g2tcs import catalog as catalog_module
+from g2tcs.catalog import CatalogError, default_catalog_path, load_catalog
 from g2tcs.cli import main
+from g2tcs.configuration import GluingAngle, parse_theta
 from g2tcs.fixtures import EXAMPLES
+from g2tcs.search import cross_term_search
 
 
 @pytest.fixture()
@@ -132,6 +138,60 @@ def test_match_inadmissible_pair(runner):
     result = invoke(runner, "match", "--plus", "3.8_1_4",
                     "--minus", "3.8_1_2", "--theta", "1/4pi")
     assert result.exit_code == 4
+
+
+def test_match_refuses_an_inadmissible_pair_at_every_bound(runner):
+    # The plus block of a quarter-turn gluing must carry an involution;
+    # the refusal comes before the first block is enumerated.
+    for bound in ("0", "1", "2"):
+        result = invoke(runner, "match", "--plus", "3.9_3", "--minus",
+                        "3.23_6", "--theta", "1/4pi", "--bound", bound)
+        assert result.exit_code == 4, bound
+        assert result.stderr == ("error: blocks (ordinary, involution) "
+                                 "admit no torus flags for the square "
+                                 "family\n"), bound
+
+
+_THETAS = ["1/6pi", "1/4pi", "1/3pi", "1/2pi", "2/3pi", "3/4pi", "5/6pi"]
+
+
+def _search_verdict(plus, minus, theta, bound):
+    try:
+        return "ok", len(cross_term_search(plus, minus, theta, bound))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_census_sample_verdicts_agree_with_the_gluing_decision():
+    # 300 seeded (pair, angle) searches of catalog blocks at bounds 0 and
+    # 1: a search refuses exactly the pairs the gluing decision refuses
+    # (no torus flags, or pi1 != 1), with the decision's message at both
+    # bounds. Otherwise the two bounds agree, unless a report of a block
+    # found at bound 1 raises ArithmeticError (a non-semisimple composed
+    # reflection or an irrational angle).
+    blocks = [b for b in load_catalog().blocks if b.rank <= 3]
+    rng = random.Random(2028)
+    cases = [(rng.choice(blocks), rng.choice(blocks), rng.choice(_THETAS))
+             for _ in range(300)]
+    start = time.perf_counter()
+    refused = 0
+    for plus, minus, theta in cases:
+        try:
+            GluingAngle(plus.kind, minus.kind,
+                        *parse_theta(theta)).require_simply_connected()
+            decision = None
+        except ValueError as exc:
+            decision = type(exc).__name__, str(exc)
+        verdicts = [_search_verdict(plus, minus, theta, bound)
+                    for bound in (0, 1)]
+        case = (plus.id, minus.id, theta)
+        if decision is not None:
+            refused += 1
+            assert verdicts == [decision, decision], case
+        elif verdicts[1][0] != "ArithmeticError":
+            assert verdicts[0][0] == verdicts[1][0] == "ok", case
+    assert time.perf_counter() - start < 2
+    assert refused == 204
 
 
 def test_match_cross_term(runner):
@@ -527,12 +587,15 @@ def test_catalog_rejects_a_mistyped_record_field(runner, tmp_path, block_id,
     assert f"{block_id}: field {field!r}" in result.stderr
 
 
-@pytest.mark.parametrize("value", ["x", {"method": 5}, None, [1],
-                                   {"method": "rank1_fano"},
-                                   {"method": "smoothed", "r": 2,
-                                    "minus_k_row": ["2"]},
-                                   {"method": "smoothed", "r": 12,
-                                    "minus_k_row": [2]}])
+_MALFORMED_DERIVATIONS = ["x", {"method": 5}, None, [1],
+                          {"method": "rank1_fano"},
+                          {"method": "smoothed", "r": 2,
+                           "minus_k_row": ["2"]},
+                          {"method": "smoothed", "r": 12,
+                           "minus_k_row": [2]}]
+
+
+@pytest.mark.parametrize("value", _MALFORMED_DERIVATIONS)
 @pytest.mark.parametrize("command", ["list", "validate"])
 def test_catalog_rejects_a_malformed_derivation(runner, tmp_path, value,
                                                 command):
@@ -600,6 +663,109 @@ def test_catalog_fuzzed_record_fields(tmp_path_factory, index, field, value):
     assert (codes[0] == 4) == (codes[1] == 4)
     if field == "derivation" and value is _REMOVED:
         assert codes[1] == 1
+
+@functools.lru_cache(maxsize=None)
+def _catalog_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_path = Path(catalog_module.__file__).parent / "data" / \
+        "catalog.schema.json"
+    return jsonschema.Draft202012Validator(json.loads(schema_path.read_text()))
+
+
+def _schema_accepts(doc):
+    return _catalog_schema().is_valid(doc)
+
+
+def _loader_accepts(path):
+    try:
+        load_catalog(path)
+    except CatalogError:
+        return False
+    return True
+
+
+def _integral_float(value):
+    if isinstance(value, float):
+        return value.is_integer()
+    if isinstance(value, (list, dict)):
+        items = value.values() if isinstance(value, dict) else value
+        return any(map(_integral_float, items))
+    return False
+
+
+def _formula_refuses(derivation):
+    try:
+        catalog_module._derived_fields(derivation)
+    except CatalogError:  # a missing or mistyped field
+        return False
+    except ValueError:  # data that a derivation formula rejects
+        return True
+    return False
+
+
+def _assert_schema_agrees_with_loader(directory, index, field, value):
+    """Whether the schema accepts a catalog mutant, after checking that it
+    refuses the mutant exactly when the loader does,
+    except for two kinds of mutant that only the loader refuses. JSON
+    Schema's "integer" is a number with no fractional part, so it takes
+    an integral float such as 3.0, which the loader reads as a float. And
+    a schema cannot state the formulas' arithmetic conditions, such as
+    -K^3 divisible by the square of the index or equal row lengths."""
+    path = _write_catalog_mutant(directory, index, field, value)
+    doc = json.loads(Path(path).read_text())
+    record = doc["blocks"][index]
+    # The other records are the shipped ones, which the schema accepts.
+    schema_ok = _schema_accepts(dict(doc, blocks=[record]))
+    loader_ok = _loader_accepts(path)
+    if schema_ok and not loader_ok:
+        derivation = record.get("derivation")
+        assert _integral_float(value) or _formula_refuses(derivation), (
+            field, value)
+    else:
+        assert schema_ok == loader_ok, (field, value)
+    return schema_ok
+
+
+@pytest.mark.parametrize("value", _MALFORMED_DERIVATIONS)
+def test_schema_and_loader_refuse_the_malformed_derivations(tmp_path, value):
+    assert not _assert_schema_agrees_with_loader(
+        tmp_path, _block_index("3.22_3"), "derivation", value)
+
+
+@pytest.mark.parametrize("block_id,field,value,schema_ok", [
+    ("3.8_2_4", "derivation.r", 2.0, True),  # integral float
+    ("3.8_2_4", "derivation.minusK3", 30, True),  # not divisible by r^2
+    ("3.23_6", "derivation.c2.c2barX", [1], True),  # unequal lengths
+    ("3.8_2_4", "derivation.r", 5, False),
+    ("3.21", "derivation.c2.method", "smoothed", False),
+    ("3.21", "derivation.rho", 0, False),
+    ("3.21", "derivation.c2", _REMOVED, True),
+])
+def test_schema_and_loader_on_typed_derivation_fields(tmp_path, block_id,
+                                                      field, value,
+                                                      schema_ok):
+    assert _assert_schema_agrees_with_loader(
+        tmp_path, _block_index(block_id), field, value) == schema_ok
+
+
+@settings(max_examples=120, deadline=None)
+@given(index=st.integers(0, len(_SHIPPED_CATALOG["blocks"]) - 1),
+       field=st.sampled_from(_DERIVATION_FIELDS),
+       value=st.one_of(_RECORD_VALUE, st.just(_REMOVED)))
+def test_schema_and_loader_agree_on_fuzzed_derivation_fields(
+        tmp_path_factory, index, field, value):
+    _assert_schema_agrees_with_loader(tmp_path_factory.getbasetemp(), index,
+                                      field, value)
+
+
+def test_schema_and_loader_require_a_version(tmp_path):
+    doc = json.loads(json.dumps(_SHIPPED_CATALOG))
+    del doc["version"]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert not _schema_accepts(doc)
+    assert not _loader_accepts(str(path))
+
 
 def test_invariants_missing_file(runner):
     result = invoke(runner, "invariants", "--config", "/nonexistent.json")

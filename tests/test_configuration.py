@@ -1,11 +1,11 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from g2tcs.configuration import (ConfigurationError, GluingAngle,
-                                 admissible_angle, configuration_angles,
-                                 d_theta, feasibility_cone_check,
-                                 infer_family, is_pure_angle,
+                                 configuration_angles, d_theta,
+                                 feasibility_cone_check, is_pure_angle,
                                  make_configuration, parse_theta,
                                  pushout_from_glue, rank1_pushout,
                                  validate_configuration)
@@ -26,49 +26,94 @@ def test_parse_theta():
             parse_theta(text)
 
 
-def test_infer_family():
-    assert infer_family(F(1, 4)) == "square"
-    assert infer_family(F(1, 2)) == "square"
-    assert infer_family(F(1, 6)) == "hexagonal"
-    assert infer_family(F(1, 3)) == "hexagonal"
+INV, ORD = "involution", "ordinary"
+SC = "simply_connected"
+# The gluing decision of every (theta, kind+, kind-): torus flags (b+, b-),
+# side roles and pi1 class, or None for a refusal. Recorded from the
+# per-module flag and pi1 tables that the decision replaced.
+GLUING_ORACLE = {
+    (F(1, 6), INV, INV): ((1, 0), (INV, INV), SC),
+    (F(1, 6), INV, ORD): None,
+    (F(1, 6), ORD, INV): None,
+    (F(1, 6), ORD, ORD): None,
+    (F(1, 4), INV, INV): ((1, 0), (INV, ORD), SC),
+    (F(1, 4), INV, ORD): ((1, 0), (INV, ORD), SC),
+    (F(1, 4), ORD, INV): None,
+    (F(1, 4), ORD, ORD): None,
+    (F(1, 3), INV, INV): ((1, 1), (INV, INV), SC),
+    (F(1, 3), INV, ORD): None,
+    (F(1, 3), ORD, INV): None,
+    (F(1, 3), ORD, ORD): None,
+    (F(1, 2), INV, INV): ((1, 1), (INV, INV), "pi1_Z2"),
+    (F(1, 2), INV, ORD): ((0, 0), (ORD, ORD), SC),
+    (F(1, 2), ORD, INV): ((0, 0), (ORD, ORD), SC),
+    (F(1, 2), ORD, ORD): ((0, 0), (ORD, ORD), SC),
+    (F(2, 3), INV, INV): ((1, 1), (INV, INV), SC),
+    (F(2, 3), INV, ORD): None,
+    (F(2, 3), ORD, INV): None,
+    (F(2, 3), ORD, ORD): None,
+    (F(3, 4), INV, INV): ((1, 0), (INV, ORD), SC),
+    (F(3, 4), INV, ORD): ((1, 0), (INV, ORD), SC),
+    (F(3, 4), ORD, INV): None,
+    (F(3, 4), ORD, ORD): None,
+    (F(5, 6), INV, INV): ((1, 0), (INV, INV), SC),
+    (F(5, 6), INV, ORD): None,
+    (F(5, 6), ORD, INV): None,
+    (F(5, 6), ORD, ORD): None,
+}
 
 
-def test_gluing_angle_parity():
-    GluingAngle("square", F(1, 4), 1, 0, 1)  # 2k = 1, b+ + b- = 1: OK
-    with pytest.raises(ConfigurationError):
-        GluingAngle("square", F(1, 4), 1, 1, 1)  # parity violated
-    with pytest.raises(ConfigurationError):
-        GluingAngle("square", F(1, 6), 1, 0, 1)  # not a square angle
+def test_gluing_decision_matches_the_oracle():
+    assert len(GLUING_ORACLE) == 28
+    for (theta, kind_plus, kind_minus), expected in GLUING_ORACLE.items():
+        if expected is None:
+            family = "hexagonal" if theta.denominator % 3 == 0 else "square"
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"blocks ({kind_plus}, {kind_minus}) admit no torus "
+                    f"flags for the {family} family")):
+                GluingAngle(kind_plus, kind_minus, theta)
+            continue
+        angle = GluingAngle(kind_plus, kind_minus, theta)
+        got = ((angle.b_plus, angle.b_minus), angle.roles, angle.pi1)
+        assert got == expected, (theta, kind_plus, kind_minus)
 
 
-def test_admissible_angle_cases():
-    adm = admissible_angle
-    assert adm("involution", "ordinary", "square", F(1, 4)) == \
-        "simply_connected"
-    assert adm("involution", "involution", "square", F(1, 4)) == \
-        "simply_connected"
-    assert adm("ordinary", "ordinary", "square", F(1, 4)) == "inadmissible"
-    assert adm("ordinary", "ordinary", "square", F(1, 2)) == \
-        "simply_connected"
-    assert adm("involution", "involution", "square", F(1, 2)) == "pi1_Z2"
-    assert adm("involution", "involution", "hexagonal", F(1, 3)) == \
-        "simply_connected"
-    assert adm("involution", "involution", "hexagonal", F(1, 6)) == \
-        "simply_connected"
-    assert adm("involution", "involution", "hexagonal", F(1, 2)) == "pi1_Z2"
-    assert adm("involution", "involution", "hexagonal", F(1, 3), 0, 0) == \
-        "pi1_Z3"
-    assert adm("involution", "ordinary", "hexagonal", F(1, 6)) == \
-        "inadmissible"
+def test_gluing_flags_keep_the_angle_parity():
+    # theta = k pi/2 (square) or k pi/3 (hexagonal) with k in Z/2 and
+    # 2k = b+ + b- mod 2, on each admissible case of the oracle.
+    admissible = [case for case, v in GLUING_ORACLE.items() if v is not None]
+    assert len(admissible) == 12
+    for theta, kind_plus, kind_minus in admissible:
+        angle = GluingAngle(kind_plus, kind_minus, theta)
+        k = theta * (3 if theta.denominator % 3 == 0 else 2)
+        assert (2 * k).denominator == 1, theta
+        assert (2 * k - angle.b_plus - angle.b_minus) % 2 == 0, theta
 
 
-def test_square_role_flags_ignore_minus_involution(catalog):
+@pytest.mark.parametrize("orientation", [0, 2, -2, 1.0, True, "1", None])
+def test_gluing_angle_refuses_a_bad_orientation(orientation):
+    with pytest.raises(ConfigurationError, match="orientation must be"):
+        GluingAngle(INV, ORD, F(1, 4), orientation)
+    assert GluingAngle(INV, ORD, F(1, 4), -1).orientation == -1
+
+
+def test_gluing_angle_refuses_an_inadmissible_theta():
+    with pytest.raises(ConfigurationError, match="inadmissible theta"):
+        GluingAngle(INV, INV, F(1, 5))
+
+
+def test_make_configuration_takes_the_decision_of_the_block_kinds(catalog):
     # a quarter-turn gluing of two involution blocks uses the minus block
     # in its ordinary role: flags (1, 0), simply connected
     cfg = make_configuration(catalog.get("3.22_3"), catalog.get("3.23_6"),
                              "1/4pi", [[6, 3, 3], [3, 2, 4], [3, 4, 2]])
+    assert cfg.angle == GluingAngle(INV, INV, F(1, 4))
     assert (cfg.angle.b_plus, cfg.angle.b_minus) == (1, 0)
-    assert cfg.pi1() == "simply_connected"
+    assert cfg.angle.roles == (INV, ORD)
+    assert cfg.angle.pi1 == SC
+    with pytest.raises(ConfigurationError, match="admit no torus flags"):
+        make_configuration(catalog.get("3.8_1_2"), catalog.get("3.22_1"),
+                           "1/4pi", [[2, 2], [2, 4]])
 
 
 # ----------------------------------------------------------------- validate

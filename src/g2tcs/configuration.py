@@ -16,7 +16,7 @@ The gluing angle is read off one integer matrix per configuration, the
 pencil N+ = adj(G+) C adj(G-) C^T = s m+, s = det G+ det G- (``Pencil``):
 its charpoly, eigenspaces and kernels decide validation, angles,
 d_theta, purity and feasibility in integers; Fractions are left to the
-reported cosines and the feasibility solve.
+reported cosines.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .catalog import BuildingBlock
-from .exact import (IntMatrix, RationalMatrix, adjugate, int_charpoly,
-                    int_det, int_matmul, integer_kernel, integer_roots,
-                    sturm_count_roots, transpose)
+from .exact import (IntMatrix, RationalMatrix, adjugate, clear_denominators,
+                    int_charpoly, int_det, int_matmul, integer_kernel,
+                    integer_roots, sturm_count_roots, transpose)
 from .lattices import GramLattice, signature
 
 # cos^2(q*pi) for the seven admissible angle fractions q.
@@ -146,10 +146,9 @@ class GluingAngle:
 
     @property
     def epsilon(self) -> int:
-        """Sign of cos(theta)."""
-        if self.theta < Fraction(1, 2):
-            return 1
-        return 0 if self.theta == Fraction(1, 2) else -1
+        """Sign of cos(theta), read off 2 theta - 1 in integers."""
+        twice = 2 * self.theta.numerator - self.theta.denominator
+        return (twice < 0) - (twice > 0)
 
     def describe(self) -> str:
         sign = "-" if self.orientation < 0 else ""
@@ -215,6 +214,13 @@ class Configuration:
     minus: BuildingBlock
     angle: GluingAngle
     pushout: GramLattice
+
+    def __post_init__(self):
+        kinds = (self.plus.kind, self.minus.kind)
+        if (self.angle.kind_plus, self.angle.kind_minus) != kinds:
+            raise ConfigurationError(
+                f"angle decided for blocks ({self.angle.kind_plus}, "
+                f"{self.angle.kind_minus}), not ({kinds[0]}, {kinds[1]})")
 
     @property
     def rho_plus(self) -> int:
@@ -301,31 +307,34 @@ def make_configuration(plus: BuildingBlock, minus: BuildingBlock,
     return Configuration(plus=plus, minus=minus, angle=angle, pushout=gram)
 
 
-def pushout_from_glue(base_gram: Sequence[Sequence[int]],
+def pushout_from_glue(base_gram: Sequence[Sequence],
                       plus_basis: Sequence[Sequence],
                       minus_basis: Sequence[Sequence]) -> List[List[int]]:
     """Full pushout Gram from rational bases inside a common base lattice.
 
-    The rows of plus_basis and minus_basis are rational coordinates in
-    the base lattice; their pairwise pairings under the base Gram must be
-    integers.
+    The base Gram B must be square and each row of plus_basis and
+    minus_basis a vector of its length, else ConfigurationError names the
+    shape. The denominators are cleared once, r B and q V integral for
+    the stacked bases V, and the pushout V B V^T is (qV)(rB)(qV)^T
+    divided exactly by q^2 r; a remainder is a non-integral pairing.
     """
-    B = RationalMatrix(base_gram)
-    vs = [[Fraction(x) for x in row] for row in plus_basis]
-    vs += [[Fraction(x) for x in row] for row in minus_basis]
-    n = len(vs)
-    out: List[List[int]] = []
-    for i in range(n):
-        bv = B.mul_vector(vs[i])
-        row = []
-        for j in range(n):
-            v = sum(a * b for a, b in zip(vs[j], bv))
-            if v.denominator != 1:
-                raise ConfigurationError(
-                    "glue presentation has a non-integral pairing")
-            row.append(int(v))
-        out.append(row)
-    return out
+    n = len(base_gram)
+    for name, rows in (("base_gram", base_gram), ("plus_basis", plus_basis),
+                       ("minus_basis", minus_basis)):
+        bad = next((len(row) for row in rows if len(row) != n), None)
+        if bad is not None:
+            raise ConfigurationError(
+                f"glue field {name!r} has a row of length {bad}; the base "
+                f"Gram has {n} rows")
+    r, B = clear_denominators([Fraction(x) for x in row] for row in base_gram)
+    q, V = clear_denominators([Fraction(x) for x in row]
+                              for row in (*plus_basis, *minus_basis))
+    scale = q * q * r
+    gram = int_matmul(int_matmul(V, B), transpose(V))
+    if any(x % scale for row in gram for x in row):
+        raise ConfigurationError(
+            "glue presentation has a non-integral pairing")
+    return [[x // scale for x in row] for row in gram]
 
 
 @dataclass(frozen=True)
@@ -602,60 +611,42 @@ def rank1_pushout(n_plus: int, n_minus: int,
 
 # ------------------------------------------------------------- feasibility
 
-def _fourier_motzkin_strict(rows: List[List[Fraction]]) -> Optional[List[Fraction]]:
-    """A solution of the strict system (row . t) > 0 for all rows, or None.
+def _strict_solution(rows: List[List[int]], k: int) -> Optional[List[int]]:
+    """A primitive integer t with row . t > 0 for each row (of k entries),
+    or None if there is none.
 
-    Eliminates the last variable repeatedly, then back-substitutes with
-    interval midpoints.
+    Fraction-free Fourier-Motzkin elimination (Schrijver, "Theory of
+    Linear and Integer Programming", 1986, section 7): each row with last
+    entry c > 0 is paired with each row with last entry c' < 0 as
+    |c'| lower + c upper, divided by its gcd. The system is homogeneous,
+    so the projected solution is scaled by 2 prod |c|: then each bound on
+    the last entry is an integer, each lower one 2 or more below each upper.
     """
-    if not rows:
-        return []
-    k = len(rows[0])
     if k == 0:
-        return None
-    if k == 1:
-        if all(r[0] > 0 for r in rows):
-            return [Fraction(1)]
-        if all(r[0] < 0 for r in rows):
-            return [Fraction(-1)]
-        return None
-    # Normalize on the last variable: a . t' + c * t_k > 0.
-    lower, upper, rest = [], [], []
-    for r in rows:
-        c = r[-1]
-        if c > 0:
-            lower.append([Fraction(-x, c) for x in r[:-1]])  # t_k > lower
-        elif c < 0:
-            upper.append([Fraction(-x, c) for x in r[:-1]])  # t_k < upper
-        else:
-            rest.append(r[:-1])
-    projected = list(rest)
+        return None if rows else []
+    lower = [r for r in rows if r[-1] > 0]
+    upper = [r for r in rows if r[-1] < 0]
+    projected = [r[:-1] for r in rows if r[-1] == 0]
     for lo in lower:
         for up in upper:
-            # up(t') - lo(t') > 0
-            projected.append([u - l for u, l in zip(up, lo)])
-    if not projected:
-        # Any t' works; recurse on a trivial system of one dimension less.
-        tprime = [Fraction(0)] * (k - 1)
-    else:
-        tprime = _fourier_motzkin_strict(projected)
-        if tprime is None:
-            return None
-    los = [sum(a * b for a, b in zip(lo, tprime)) for lo in lower]
-    ups = [sum(a * b for a, b in zip(up, tprime)) for up in upper]
-    lo_val = max(los) if los else None
-    up_val = min(ups) if ups else None
-    if lo_val is not None and up_val is not None:
-        if lo_val >= up_val:
-            return None
-        tk = (lo_val + up_val) / 2
-    elif lo_val is not None:
-        tk = lo_val + 1
-    elif up_val is not None:
-        tk = up_val - 1
-    else:
-        tk = Fraction(1)
-    return tprime + [tk]
+            row = [-up[-1] * a + lo[-1] * b
+                   for a, b in zip(lo[:-1], up[:-1])]
+            g = gcd(*row)
+            if not g:  # the row reads 0 > 0
+                return None
+            projected.append([x // g for x in row])
+    t = _strict_solution(projected, k - 1)
+    if t is None:
+        return None
+    scale = 2 * prod(abs(r[-1]) for r in lower + upper)
+    t = [scale * x for x in t]
+    # r[:-1] . t + r[-1] x > 0 bounds x by -(r[:-1] . t) / r[-1], an
+    # integer once t is scaled.
+    lows, ups = ([-sum(a * b for a, b in zip(r, t)) // r[-1] for r in side]
+                 for side in (lower, upper))
+    t.append(max(lows) + 1 if lows else min(ups) - 1 if ups else 0)
+    g = gcd(*t) or 1
+    return [x // g for x in t]
 
 
 def feasibility_cone_check(cfg: Configuration):
@@ -667,23 +658,19 @@ def feasibility_cone_check(cfg: Configuration):
     has positive coordinates. With pi- = BCt / det G-, the rows
     sign(det G-) (sign cos theta) BCt v are positive multiples of those
     coordinates, so they decide the same strict system on the integer
-    eigenspace basis. Returns (feasible, witness in N+ coordinates).
+    eigenspace basis, solved in integers by ``_strict_solution``. Returns
+    (True, an integer witness in N+ coordinates) or (False, None).
     """
     if cfg.angle.cos_squared == 0:
         # Orthogonal gluing: the two ample cones impose no joint
         # condition; any ample class works on each side.
-        return True, [Fraction(1)] * cfg.rho_plus
+        return True, [1] * cfg.rho_plus
     plus = _cos_squared_space(cfg, 0, cfg.angle.cos_squared)
     if not plus:
         return False, None
     pencil = cfg.pencil()
     sign = cfg.angle.epsilon * (1 if pencil.det_minus > 0 else -1)
     rows = transpose(plus)
-    rows += [[sign * x for x in row]
-             for row in transpose(int_matmul(plus, transpose(pencil.BCt)))]
-    t = _fourier_motzkin_strict(rows)
-    if t is None:
-        return False, None
-    witness = [sum(v[i] * c for v, c in zip(plus, t))
-               for i in range(cfg.rho_plus)]
-    return True, witness
+    rows += [[sign * x for x in row] for row in int_matmul(pencil.BCt, rows)]
+    t = _strict_solution(rows, len(plus))
+    return (False, None) if t is None else (True, int_matmul([t], plus)[0])

@@ -98,12 +98,6 @@ class RationalMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows]
         )
 
-    def mul_vector(self, v: Sequence) -> FracVector:
-        v = [Fraction(x) for x in v]
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return [sum(a * b for a, b in zip(row, v)) for row in self.rows]
-
     # -- elimination-based operations ------------------------------------
 
     def _rref(self) -> Tuple[List[FracVector], List[int]]:

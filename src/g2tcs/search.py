@@ -20,6 +20,7 @@ from .catalog import BuildingBlock, Catalog
 from .configuration import (
     INVOLUTION,
     SIMPLY_CONNECTED,
+    Configuration,
     ConfigurationError,
     GluingAngle,
     d_theta,
@@ -31,6 +32,7 @@ from .configuration import (
 )
 from .exact import adjugate, int_det
 from .invariants import InvariantReport, full_report
+from .lattices import GramLattice
 
 __all__ = [
     "MatchCandidate",
@@ -78,21 +80,19 @@ def rank1_candidate(plus: BuildingBlock, minus: BuildingBlock,
                     theta_text: str) -> Optional[MatchCandidate]:
     """The rank-1 pushout match of one ordered pair at an angle such as
     "1/4pi" or "-1/6pi", with its invariants, or None if the generator
-    squares admit no integral cross term."""
-    n_plus = plus.N.gram[0][0]
-    n_minus = minus.N.gram[0][0]
-    push = rank1_pushout(n_plus, n_minus, theta_text)
+    squares admit no integral cross term. The gluing decision comes first:
+    kinds without torus flags raise ConfigurationError either way."""
+    theta, orientation = parse_theta(theta_text)
+    angle = GluingAngle(plus.kind, minus.kind, theta, orientation)
+    push = rank1_pushout(plus.N.gram[0][0], minus.N.gram[0][0], theta)
     if push is None:
         return None
-    cfg = make_configuration(plus, minus, theta_text,
-                             [list(r) for r in push.gram])
-    report = full_report(cfg)
-    decomposition = None
-    if push.m is not None:
-        decomposition = (push.m, push.q_plus, push.q_minus)
+    report = full_report(Configuration(plus, minus, angle,
+                                       GramLattice.from_rows(push.gram)))
     return MatchCandidate(plus_id=plus.id, minus_id=minus.id,
-                          theta=report.theta, pushout=push.gram,
-                          rank1_decomposition=decomposition, report=report)
+                          theta=report.theta, pushout=push.gram, report=report,
+                          rank1_decomposition=None if push.m is None
+                          else (push.m, push.q_plus, push.q_minus))
 
 
 def rank1_candidate_count(catalog: Catalog, theta) -> int:

@@ -3,6 +3,7 @@
 Everything here works in ``RationalMatrix`` and ``Fraction`` arithmetic:
 the side compositions pi± pi∓ with their Faddeev–LeVerrier charpoly, its
 rational roots and the Sturm check of [0, 1], eigenspaces as nullspaces,
+the Fourier–Motzkin feasibility solve with midpoints, the glue pushout,
 and the Fraction versions of the boundary matrix, the pure-angle torsion,
 the discriminant pairing and the signature. ``routes_agree`` compares
 each of them with what the package computes, value for value or
@@ -11,12 +12,12 @@ exception type for exception type.
 
 from fractions import Fraction as F
 from math import gcd
+from typing import List, Optional
 
 from g2tcs.configuration import (ANGLE_PI, ANGLE_ZERO, AngleSpectrum,
-                                 ValidationReport, _fourier_motzkin_strict,
-                                 configuration_angles, d_theta,
-                                 feasibility_cone_check, is_pure_angle,
-                                 validate_configuration)
+                                 ValidationReport, configuration_angles,
+                                 d_theta, feasibility_cone_check,
+                                 is_pure_angle, validate_configuration)
 from g2tcs.exact import (RationalMatrix, clear_denominators,
                          hermite_row_basis, int_charpoly,
                          lattice_intersection, poly_divmod,
@@ -34,6 +35,14 @@ TORSION_ANGLES = (F(1, 2), F(3, 4))
 
 def _matrix(rows) -> RationalMatrix:
     return RationalMatrix([list(r) for r in rows])
+
+
+def mul_vector(M: RationalMatrix, v):
+    """The product M v of a rational matrix and a vector of ints or
+    Fractions."""
+    if len(v) != M.ncols:
+        raise ValueError("dimension mismatch")
+    return [sum(a * F(b) for a, b in zip(row, v)) for row in M.rows]
 
 
 def rational_signature(gram):
@@ -68,12 +77,22 @@ def rational_signature(gram):
 
 def _form_on(G: RationalMatrix, basis):
     """The Gram matrix of G on rational vectors."""
-    return [[sum(a * b for a, b in zip(v, G.mul_vector(u))) for v in basis]
+    return [[sum(a * b for a, b in zip(v, mul_vector(G, u))) for v in basis]
             for u in basis]
 
 
 def _restricted_signature(G: RationalMatrix, basis):
     return rational_signature(_form_on(G, basis))
+
+
+def glue_gram(base_gram, plus_basis, minus_basis):
+    """The pushout Gram of rational glue bases in a base Gram, or None
+    when a pairing is not an integer."""
+    vs = [[F(x) for x in row] for row in (*plus_basis, *minus_basis)]
+    gram = _form_on(_matrix(base_gram), vs)
+    if any(x.denominator != 1 for row in gram for x in row):
+        return None
+    return [[int(x) for x in row] for row in gram]
 
 
 def rational_discriminant_pairing(gram):
@@ -83,7 +102,7 @@ def rational_discriminant_pairing(gram):
         raise ValueError("lattice is degenerate")
     gens = cokernel_presentation([list(r) for r in gram]).generator_vectors()
     Ginv = G.inverse()
-    return tuple(tuple(sum(F(a) * b for a, b in zip(x, Ginv.mul_vector(y)))
+    return tuple(tuple(sum(F(a) * b for a, b in zip(x, mul_vector(Ginv, y)))
                        % 1 for y in gens) for x in gens)
 
 
@@ -191,7 +210,7 @@ def angles(cfg) -> AngleSpectrum:
         if zero:
             raise ArithmeticError("degenerate eigenspace")
         if c == 0:
-            if any(any(pm.mul_vector(x)) for x in space):
+            if any(any(mul_vector(pm, x)) for x in space):
                 raise ArithmeticError("not semisimple")
             pi_pos, pi_neg = pos, neg
             accounted += mult
@@ -203,7 +222,7 @@ def angles(cfg) -> AngleSpectrum:
             pairs_minus.extend([(2 * c - 1, 1), (2 * c - 1, -1)] * neg)
             accounted += 2 * mult
     minus_kernel = eigenspace(cfg, 1, F(0))
-    if any(any(pp.mul_vector(y)) for y in minus_kernel):
+    if any(any(mul_vector(pp, y)) for y in minus_kernel):
         raise ArithmeticError("not semisimple")
     pos, neg, zero = _restricted_signature(Gm, minus_kernel)
     if zero:
@@ -234,6 +253,62 @@ def rational_is_pure(cfg) -> bool:
     c = cfg.angle.cos_squared
     return all(M == RationalMatrix.identity(M.nrows).scaled(c)
                for M in cfg.side_compositions())
+
+
+def _fourier_motzkin_strict(rows: List[List[F]]) -> Optional[List[F]]:
+    """A solution of the strict system (row . t) > 0 for all rows, or None.
+
+    Eliminates the last variable repeatedly, then back-substitutes with
+    interval midpoints.
+    """
+    if not rows:
+        return []
+    k = len(rows[0])
+    if k == 0:
+        return None
+    if k == 1:
+        if all(r[0] > 0 for r in rows):
+            return [F(1)]
+        if all(r[0] < 0 for r in rows):
+            return [F(-1)]
+        return None
+    # Normalize on the last variable: a . t' + c * t_k > 0.
+    lower, upper, rest = [], [], []
+    for r in rows:
+        c = r[-1]
+        if c > 0:
+            lower.append([F(-x, c) for x in r[:-1]])  # t_k > lower
+        elif c < 0:
+            upper.append([F(-x, c) for x in r[:-1]])  # t_k < upper
+        else:
+            rest.append(r[:-1])
+    projected = list(rest)
+    for lo in lower:
+        for up in upper:
+            # up(t') - lo(t') > 0
+            projected.append([u - l for u, l in zip(up, lo)])
+    if not projected:
+        # Any t' works; recurse on a trivial system of one dimension less.
+        tprime = [F(0)] * (k - 1)
+    else:
+        tprime = _fourier_motzkin_strict(projected)
+        if tprime is None:
+            return None
+    los = [sum(a * b for a, b in zip(lo, tprime)) for lo in lower]
+    ups = [sum(a * b for a, b in zip(up, tprime)) for up in upper]
+    lo_val = max(los) if los else None
+    up_val = min(ups) if ups else None
+    if lo_val is not None and up_val is not None:
+        if lo_val >= up_val:
+            return None
+        tk = (lo_val + up_val) / 2
+    elif lo_val is not None:
+        tk = lo_val + 1
+    elif up_val is not None:
+        tk = up_val - 1
+    else:
+        tk = F(1)
+    return tprime + [tk]
 
 
 def feasible(cfg) -> bool:
@@ -276,9 +351,10 @@ def boundary_matrix(cfg):
     else:
         minus_rows = even_dual_kernel(cfg.minus.N)
         scale = F(3, 2)
-    cols = [[v / 2 for v in Gp.mul_vector(x)] + C.transpose().mul_vector(x)
+    cols = [[v / 2 for v in mul_vector(Gp, x)]
+            + mul_vector(C.transpose(), x)
             for x in even_dual_kernel(cfg.plus.N)]
-    cols += [C.mul_vector(y) + [v * scale for v in Gm.mul_vector(y)]
+    cols += [mul_vector(C, y) + [v * scale for v in mul_vector(Gm, y)]
              for y in minus_rows]
     if any(v.denominator != 1 for col in cols for v in col):
         raise ArithmeticError("boundary matrix entry is not integral")
@@ -310,7 +386,7 @@ def pure_torsion(cfg) -> PureTorsion:
     p_values = []
     for f in ([x // denom for x in row] for row in inter):
         val = (sum(F(c) * x for c, x
-                   in zip(cfg.plus.c2bar, pi_plus.mul_vector(f)))
+                   in zip(cfg.plus.c2bar, mul_vector(pi_plus, f)))
                + minus_factor * sum(c * x for c, x
                                     in zip(cfg.minus.c2bar, f)))
         if val.denominator != 1:

@@ -27,8 +27,8 @@ from g2tcs.search import (_gram_permutations, cross_term_search,
 
 
 def _form_signature(G, basis):
-    gram = [[sum(a * b for a, b in zip(v, G.mul_vector(u))) for v in basis]
-            for u in basis]
+    gram = [[sum(a * b for a, b in zip(v, fraction_route.mul_vector(G, u)))
+             for v in basis] for u in basis]
     denom = 1
     for row in gram:
         for x in row:
@@ -54,8 +54,8 @@ def reflection_angles(cfg) -> AngleSpectrum:
         [list(row) for row in cfg.pushout.gram])
     full = RationalMatrix(Q)
     inv = full.inverse()
-    imgs = [inv.mul_vector([F(int(i == j)) for i in range(n)])[:r]
-            for j in range(n)]
+    imgs = [fraction_route.mul_vector(
+        inv, [F(int(i == j)) for i in range(n)])[:r] for j in range(n)]
     Bp = _from_columns(imgs[:cfg.rho_plus])
     Bm = _from_columns(imgs[cfg.rho_plus:])
 

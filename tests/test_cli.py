@@ -99,8 +99,6 @@ RANK1_MATCH_DIGESTS = [
      "bc67d63c0384c3b7e0ebb73685949001261f6771b9afeb582ca07666e3a6e131"),
     ("3.22_1", "3.8_1_4", "1/2pi",
      "26fe187b014b7d6a030abf9d285ef5ec2fd60d70a1e8fe2791e1cca8d8e85dc4"),
-    ("3.22_1", "3.8_1_4", "1/3pi",
-     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
 ]
 
 
@@ -132,6 +130,24 @@ def test_match_general_json_bytes(runner, plus, minus, theta, bound, digest):
                     "--format", "json")
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize("plus,minus,theta,message", [
+    ("3.22_1", "3.8_1_4", "1/3pi",
+     "blocks (involution, ordinary) admit no torus flags for the hexagonal "
+     "family"),
+    ("3.8_1_2", "3.8_1_6", "1/4pi",
+     "blocks (ordinary, ordinary) admit no torus flags for the square "
+     "family"),
+], ids=["3.22_1-3.8_1_4-1/3pi", "3.8_1_2-3.8_1_6-1/4pi"])
+def test_match_refuses_a_rank1_pair_before_its_pushout(runner, plus, minus,
+                                                        theta, message):
+    # Neither pair has an integral cross term at its angle; the gluing
+    # decision refuses them all the same, as it does at any --bound.
+    result = invoke(runner, "match", "--plus", plus, "--minus", minus,
+                    "--theta", theta, "--format", "json")
+    assert result.exit_code == 4
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_match_inadmissible_pair(runner):
@@ -394,6 +410,9 @@ GLUE_DOC = {
     ("minus_basis", ["0", "-1/0", "3/14"]),
     ("base_gram", [196, "3/0", 98]),
     ("base_gram", [196, "x", 98]),
+    ("base_gram", [196, 0]),
+    ("plus_basis", ["9/49", "8/49"]),
+    ("minus_basis", ["0", "-1/14", "3/14", "0"]),
 ])
 def test_invariants_rejects_malformed_glue_entries(runner, tmp_path, field,
                                                     row):
@@ -404,6 +423,20 @@ def test_invariants_rejects_malformed_glue_entries(runner, tmp_path, field,
     assert result.exit_code == 4
     assert repr(field) in result.stderr
     assert "Traceback" not in result.output
+
+
+def test_invariants_refuses_a_base_gram_that_is_not_square(runner, tmp_path):
+    # Read row by row against the basis rows, this 2x3 Gram used to pass
+    # as [[2, 2], [2, 4]] and print a report with b3 134.
+    path = _write_config(tmp_path, {
+        "plus": "3.22_1", "minus": "3.8_1_4", "theta": "1/4pi",
+        "base_gram": [[2, 2, 0], [2, 4, 0]],
+        "plus_basis": [[1, 0, 0]], "minus_basis": [[0, 1, 0]]})
+    result = invoke(runner, "invariants", "--config", path)
+    assert result.exit_code == 4
+    assert result.stderr == ("error: glue field 'base_gram' has a row of "
+                             "length 3; the base Gram has 2 rows\n")
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("theta", ["pi/0", "1/0pi"])

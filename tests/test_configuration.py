@@ -1,14 +1,22 @@
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from g2tcs.configuration import (ConfigurationError, GluingAngle,
+import fraction_route
+from g2tcs.configuration import (Configuration, ConfigurationError,
+                                 GluingAngle, _strict_solution,
                                  configuration_angles, d_theta,
                                  feasibility_cone_check, is_pure_angle,
                                  make_configuration, parse_theta,
                                  pushout_from_glue, rank1_pushout,
                                  validate_configuration)
+from g2tcs.exact import int_matmul
+from g2tcs.fixtures import EXAMPLES
+from g2tcs.lattices import GramLattice
 
 
 # ------------------------------------------------------------------- angles
@@ -116,6 +124,17 @@ def test_make_configuration_takes_the_decision_of_the_block_kinds(catalog):
                            "1/4pi", [[2, 2], [2, 4]])
 
 
+def test_configuration_refuses_an_angle_decided_for_other_kinds(catalog):
+    # Two involution blocks glue at 1/2pi with pi1 = Z/2; an angle decided
+    # for two ordinary blocks would pass them off as simply connected.
+    plus, minus = catalog.get("3.22_1"), catalog.get("3.22_2")
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "angle decided for blocks (ordinary, ordinary), not "
+            "(involution, involution)")):
+        Configuration(plus, minus, GluingAngle(ORD, ORD, F(1, 2)),
+                      GramLattice.from_rows([[2, 0], [0, 4]]))
+
+
 # ----------------------------------------------------------------- validate
 
 def test_validate_accepts_worked_configurations(example_configs):
@@ -217,11 +236,58 @@ def test_rank1_pushout_rejects_odd():
 # -------------------------------------------------------------- feasibility
 
 def test_feasibility_witness(example_configs):
+    # The witness is a positive integer vector of N+ whose image under
+    # BCt, scaled by sign(cos theta) sign(det G-), is positive too.
     for name in ("8.7", "8.11", "8.16"):
         cfg, _ = example_configs[name]
         feasible, witness = feasibility_cone_check(cfg)
         assert feasible, name
-        assert witness is not None
+        assert all(type(x) is int and x > 0 for x in witness), name
+        pencil = cfg.pencil()
+        sign = cfg.angle.epsilon * (1 if pencil.det_minus > 0 else -1)
+        image = int_matmul(pencil.BCt, [[x] for x in witness])
+        assert all(sign * x > 0 for (x,) in image), name
+
+
+@st.composite
+def strict_systems(draw):
+    k = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-50, 50), min_size=k, max_size=k)
+    return draw(st.lists(row, min_size=1, max_size=8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(strict_systems())
+@example([[1, 0], [-1, 1], [0, -1]])  # infeasible: t1 > 0, t2 > t1, t2 < 0
+@example([[0, 0, 0]])
+@example([[3, -5, 7], [-2, 9, -4], [1, 1, 1]])
+def test_strict_solution_agrees_with_the_fraction_elimination(rows):
+    t = _strict_solution(rows, len(rows[0]))
+    assert (t is None) == (fraction_route._fourier_motzkin_strict(rows)
+                           is None)
+    if t is not None:
+        assert all(type(x) is int for x in t)
+        assert all(sum(a * b for a, b in zip(r, t)) > 0 for r in rows)
+
+
+def test_feasibility_constructs_no_fraction(catalog, monkeypatch):
+    # Fresh configurations, so that the pencil and eigenspaces are
+    # computed inside the count as well.
+    cfgs = [make_configuration(catalog.get(plus), catalog.get(minus), theta,
+                               [list(r) for r in rows])
+            for plus, minus, theta, rows, _expected in EXAMPLES.values()]
+    constructed = []
+    original = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        constructed.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    verdicts = [feasibility_cone_check(cfg)[0] for cfg in cfgs]
+    monkeypatch.undo()
+    assert len(verdicts) == 20 and all(verdicts)
+    assert constructed == []
 
 
 def test_feasibility_rejects_negative_cross(catalog):
@@ -245,3 +311,39 @@ def test_pushout_from_glue_reproduces_degenerate_presentation():
 def test_pushout_from_glue_rejects_fractional_pairing():
     with pytest.raises(ValueError):
         pushout_from_glue([[2]], [[F(1, 2)]], [[1]])
+
+
+def _random_glue(rng):
+    """A symmetric base Gram and two bases with denominators dividing d.
+    In half the draws the Gram is a multiple of d^2 / 2, so that integral
+    and non-integral pushouts both come up."""
+    n, d = rng.randint(1, 4), rng.choice((1, 2, 3, 6))
+    unit = F(d * d if rng.random() < 0.5 else 1, rng.choice((1, 2)))
+    base = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            base[i][j] = base[j][i] = rng.randint(-6, 6) * unit
+
+    def basis():
+        return [[F(rng.randint(-12, 12), d) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+    return base, basis(), basis()
+
+
+def test_pushout_from_glue_matches_the_rational_product():
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(600):
+        base, plus, minus = _random_glue(rng)
+        expected = fraction_route.glue_gram(base, plus, minus)
+        # the glue document's form: integers, and "p/q" strings
+        text = [[str(x) if x.denominator > 1 else int(x) for x in row]
+                for row in base]
+        try:
+            got = pushout_from_glue(text, plus, minus)
+        except ConfigurationError as exc:
+            assert "non-integral pairing" in str(exc)
+            got = None
+        assert got == expected, (base, plus, minus)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}

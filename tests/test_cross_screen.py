@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_route
 from g2tcs import search
 from g2tcs.catalog import load_catalog
 from g2tcs.configuration import (COS_SQUARED, ConfigurationError, d_theta,
@@ -56,6 +57,13 @@ def integer_pure(screen, cross):
     return not any(any(row) for row in deviation)
 
 
+def _pushout_rows(plus, minus, cross):
+    rows = [list(plus.N.gram[i]) + list(cross[i]) for i in range(plus.rank)]
+    rows += [[cross[i][j] for i in range(plus.rank)] + list(minus.N.gram[j])
+             for j in range(minus.rank)]
+    return rows
+
+
 def brute_force_search(plus, minus, theta_text, bound, pure):
     cos2 = COS_SQUARED[parse_theta(theta_text)[0]]
     rp, rm = plus.rank, minus.rank
@@ -67,9 +75,7 @@ def brute_force_search(plus, minus, theta_text, bound, pure):
         screen = fraction_pure if pure else fraction_singular
         if not screen(plus, minus, cos2, cross):
             continue
-        rows = [list(plus.N.gram[i]) + list(cross[i]) for i in range(rp)]
-        rows += [[cross[i][j] for i in range(rp)] + list(minus.N.gram[j])
-                 for j in range(rm)]
+        rows = _pushout_rows(plus, minus, cross)
         cfg = make_configuration(plus, minus, theta_text, rows)
         if not validate_configuration(cfg).ok:
             continue
@@ -118,6 +124,25 @@ def test_hit_lists_match_brute_force(catalog, plus_id, minus_id, theta,
     if bound and not pure:  # each box holds its worked example
         assert expected
     assert cross_term_search(plus, minus, theta, bound, pure=pure) == expected
+
+
+@pytest.mark.parametrize("plus_id,minus_id,theta,bound", ORACLE_CASES)
+def test_feasibility_verdicts_match_the_fraction_route(catalog, plus_id,
+                                                       minus_id, theta, bound):
+    """The integer solve and the Fraction elimination agree on every block
+    of the box that reaches feasibility, in the general and pure search;
+    each box with a positive bound has blocks of both verdicts."""
+    plus, minus = catalog.get(plus_id), catalog.get(minus_id)
+    screen = _screen(plus, minus, theta)
+    verdicts = []
+    for pure in (False, True):
+        for cross in screen.blocks(bound, pure):
+            cfg = make_configuration(plus, minus, theta,
+                                     _pushout_rows(plus, minus, cross))
+            if validate_configuration(cfg).ok and (pure or d_theta(cfg)):
+                verdicts.append(feasibility_cone_check(cfg)[0])
+                assert verdicts[-1] == fraction_route.feasible(cfg), cross
+    assert set(verdicts) == ({True, False} if bound else set())
 
 
 # ------------------------------------------- predicates vs rational screen

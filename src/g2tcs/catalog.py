@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .lattices import GramLattice, signature
 
@@ -29,8 +28,7 @@ class CatalogError(ValueError):
     """Raised when a catalog document fails structural validation."""
 
 
-@dataclass(frozen=True)
-class BuildingBlock:
+class BuildingBlock(NamedTuple):
     """One building block of the gluing construction."""
 
     id: str
@@ -86,18 +84,16 @@ class BuildingBlock:
         return problems
 
 
-@dataclass(frozen=True)
 class Catalog:
-    """An ordered collection of building blocks, indexed by id."""
+    """An ordered collection of building blocks, indexed by id; ``blocks``
+    keeps the document order, and the index is built once, for ``get``."""
 
-    blocks: Tuple[BuildingBlock, ...]
-    source: str = "<memory>"
-    _index: Dict[str, BuildingBlock] = field(default_factory=dict,
-                                             repr=False, compare=False)
+    __slots__ = ("blocks", "source", "_index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index",
-                           {b.id: b for b in self.blocks})
+    def __init__(self, blocks: Tuple[BuildingBlock, ...], source="<memory>"):
+        self.blocks = blocks
+        self.source = source
+        self._index = {b.id: b for b in blocks}
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -334,8 +330,7 @@ def _derived_fields(der) -> Dict[str, object]:
     return out
 
 
-@dataclass(frozen=True)
-class CatalogMismatch:
+class CatalogMismatch(NamedTuple):
     block_id: str
     field: str
     stored: object

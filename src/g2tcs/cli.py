@@ -189,7 +189,8 @@ def catalog_validate(ctx):
 @click.option("--minus", "minus_id", required=True)
 @click.option("--theta", required=True, help='Angle, e.g. "1/4pi".')
 @click.option("--pure", is_flag=True, default=False,
-              help="Keep only pure-angle configurations.")
+              help="Keep only configurations pure on both sides (pi+ pi- and "
+                   "pi- pi+ = cos^2 theta); none for unequal ranks off pi/2.")
 @click.option("--bound", type=int, default=None,
               help="Cross-term entry bound. Enables the bounded search: "
                    "an integer eigen-angle screen over every cross block "

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import BuildingBlock
 from .exact import (IntMatrix, RationalMatrix, adjugate, clear_denominators,
@@ -94,8 +93,18 @@ _GLUINGS = {
 }
 
 
-@dataclass(frozen=True)
-class GluingAngle:
+class _AngleFields(NamedTuple):
+    kind_plus: str
+    kind_minus: str
+    theta: Fraction
+    orientation: int
+    roles: Tuple[str, str]
+    b_plus: int
+    b_minus: int
+    pi1: str
+
+
+class GluingAngle(_AngleFields):
     """The gluing decision: an exact angle for two block kinds.
 
     theta is a fraction of pi in (0, 1); orientation records a negated
@@ -103,36 +112,32 @@ class GluingAngle:
     theta the constructor takes the first gluing of ``_GLUINGS`` whose
     involution roles the kinds fill: the side ``roles``, the torus flags
     ``b_plus``/``b_minus`` and the ``pi1`` class. If none fits it raises
-    ConfigurationError, so no angle with inconsistent flags exists.
+    ConfigurationError, so no angle with inconsistent flags exists. The
+    record is a tuple of all eight fields, equal by fields and read-only.
     """
 
-    kind_plus: str
-    kind_minus: str
-    theta: Fraction
-    orientation: int = 1
-    roles: Tuple[str, str] = field(init=False)
-    b_plus: int = field(init=False)
-    b_minus: int = field(init=False)
-    pi1: str = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.theta not in COS_SQUARED:
-            raise ConfigurationError(f"inadmissible theta {self.theta}*pi")
-        kinds = (self.kind_plus, self.kind_minus)
-        for roles, flags, pi1 in _GLUINGS[min(self.theta, 1 - self.theta)]:
+    def __new__(cls, kind_plus: str, kind_minus: str, theta: Fraction,
+                orientation: int = 1):
+        if theta not in COS_SQUARED:
+            raise ConfigurationError(f"inadmissible theta {theta}*pi")
+        for roles, flags, pi1 in _GLUINGS[min(theta, 1 - theta)]:
             if all(role == ORDINARY or kind == INVOLUTION
-                   for role, kind in zip(roles, kinds)):
+                   for role, kind in zip(roles, (kind_plus, kind_minus))):
                 break
         else:
-            family = "square" if self.theta.denominator % 3 else "hexagonal"
+            family = "square" if theta.denominator % 3 else "hexagonal"
             raise ConfigurationError(
-                f"blocks ({self.kind_plus}, {self.kind_minus}) admit no "
+                f"blocks ({kind_plus}, {kind_minus}) admit no "
                 f"torus flags for the {family} family")
-        if type(self.orientation) is not int or abs(self.orientation) != 1:
+        if type(orientation) is not int or abs(orientation) != 1:
             raise ConfigurationError("orientation must be +1 or -1")
-        for name, value in zip(("roles", "b_plus", "b_minus", "pi1"),
-                               (roles, *flags, pi1)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, kind_plus, kind_minus, theta,
+                               orientation, roles, *flags, pi1)
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the inputs
+        return self[:4]
 
     def require_simply_connected(self) -> None:
         """Raise ValueError unless pi1 is trivial, as the invariants need."""
@@ -171,8 +176,7 @@ def per_configuration(fn):
     return memoised
 
 
-@dataclass(frozen=True)
-class Pencil:
+class Pencil(NamedTuple):
     """The gluing angle of a configuration as integer matrices.
 
     pi+ = G+^-1 C = AC / det G+ and pi- = G-^-1 C^T = BCt / det G-, so
@@ -196,8 +200,14 @@ class Pencil:
         return self.det_plus * self.det_minus
 
 
-@dataclass(frozen=True)
-class Configuration:
+class _ConfigurationFields(NamedTuple):
+    plus: BuildingBlock
+    minus: BuildingBlock
+    angle: GluingAngle
+    pushout: GramLattice
+
+
+class Configuration(_ConfigurationFields):
     """A gluing configuration: two blocks, an angle, a pushout Gram.
 
     The pushout is the (rho+ + rho-)-dimensional Gram matrix of the
@@ -205,22 +215,20 @@ class Configuration:
     degenerate when the two sublattices intersect. Its derived data (the
     inertia of the pushout, the integer pencil with its eigenspaces, the
     validation report, the boundary presentation) are computed once, on
-    first use, by the functions marked ``per_configuration``.
+    first use, by the functions marked ``per_configuration``, and kept in
+    the instance's ``_memo``: the fields stay read-only and equality stays
+    by field, with the memo outside it.
     ``projections`` and ``side_compositions`` give pi± and m± as rational
     matrices; nothing in the package calls them.
     """
 
-    plus: BuildingBlock
-    minus: BuildingBlock
-    angle: GluingAngle
-    pushout: GramLattice
-
-    def __post_init__(self):
-        kinds = (self.plus.kind, self.minus.kind)
-        if (self.angle.kind_plus, self.angle.kind_minus) != kinds:
+    def __new__(cls, plus: BuildingBlock, minus: BuildingBlock,
+                angle: GluingAngle, pushout: GramLattice):
+        if (angle.kind_plus, angle.kind_minus) != (plus.kind, minus.kind):
             raise ConfigurationError(
-                f"angle decided for blocks ({self.angle.kind_plus}, "
-                f"{self.angle.kind_minus}), not ({kinds[0]}, {kinds[1]})")
+                f"angle decided for blocks ({angle.kind_plus}, "
+                f"{angle.kind_minus}), not ({plus.kind}, {minus.kind})")
+        return super().__new__(cls, plus, minus, angle, pushout)
 
     @property
     def rho_plus(self) -> int:
@@ -312,13 +320,15 @@ def pushout_from_glue(base_gram: Sequence[Sequence],
                       minus_basis: Sequence[Sequence]) -> List[List[int]]:
     """Full pushout Gram from rational bases inside a common base lattice.
 
-    The base Gram B must be square and each row of plus_basis and
-    minus_basis a vector of its length, else ConfigurationError names the
-    shape. The denominators are cleared once, r B and q V integral for
-    the stacked bases V, and the pushout V B V^T is (qV)(rB)(qV)^T
-    divided exactly by q^2 r; a remainder is a non-integral pairing.
+    B must be a nonempty square Gram and each row of plus_basis and
+    minus_basis a vector of its size, else ConfigurationError names the
+    field. Denominators are cleared once, r B and q V integral for the
+    stacked bases V; the pushout V B V^T is (qV)(rB)(qV)^T divided
+    exactly by q^2 r, and a remainder is a non-integral pairing.
     """
     n = len(base_gram)
+    if n == 0:
+        raise ConfigurationError("glue field 'base_gram' has no rows")
     for name, rows in (("base_gram", base_gram), ("plus_basis", plus_basis),
                        ("minus_basis", minus_basis)):
         bad = next((len(row) for row in rows if len(row) != n), None)
@@ -337,8 +347,7 @@ def pushout_from_glue(base_gram: Sequence[Sequence],
     return [[x // scale for x in row] for row in gram]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     problems: Tuple[str, ...]
     flags: Tuple[str, ...]
@@ -457,8 +466,7 @@ ANGLE_ZERO = (Fraction(1), 0)
 ANGLE_PI = (Fraction(-1), 0)
 
 
-@dataclass(frozen=True)
-class AngleSpectrum:
+class AngleSpectrum(NamedTuple):
     """Configuration angles: 3 plus-type and 19 minus-type entries.
 
     Each entry is (cos(alpha), sign) with sign 0 reserved for the exact
@@ -564,8 +572,7 @@ def configuration_angles(cfg: Configuration) -> AngleSpectrum:
 
 # ----------------------------------------------------------------- rank 1
 
-@dataclass(frozen=True)
-class Rank1Pushout:
+class Rank1Pushout(NamedTuple):
     """Cross-term data of a rank-1 x rank-1 pushout."""
 
     gram: Tuple[Tuple[int, int], Tuple[int, int]]

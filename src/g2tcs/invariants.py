@@ -10,10 +10,9 @@ comparison decision procedure for 2-connected results.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .configuration import (
     ANGLE_PI,
@@ -81,8 +80,7 @@ def betti(cfg: Configuration) -> Tuple[int, int]:
 
 # -------------------------------------------------------------- boundary
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(NamedTuple):
     """The boundary map presenting the torsion of H^4.
 
     matrix columns are indexed by the domain generators (a basis of the
@@ -156,8 +154,7 @@ def _boundary_cokernel(cfg: Configuration
     return bd, cokernel_presentation([list(r) for r in bd.matrix])
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(NamedTuple):
     group: FiniteAbelianGroup
     linking: Tuple[Tuple[Fraction, ...], ...]
 
@@ -182,8 +179,7 @@ def torsion_report(cfg: Configuration) -> TorsionReport:
 
 # ------------------------------------------------------------ pure route
 
-@dataclass(frozen=True)
-class PureTorsion:
+class PureTorsion(NamedTuple):
     group: FiniteAbelianGroup
     linking: Tuple[Tuple[Fraction, ...], ...]
     d_free: int
@@ -575,8 +571,7 @@ def _negate_pairing(b: Sequence[Sequence[Fraction]]):
 
 # ------------------------------------------------------------ full report
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     pi1: str
     b2: int
     b3: int
@@ -652,8 +647,7 @@ def full_report(cfg: Configuration) -> InvariantReport:
 
 # ------------------------------------------------------------- comparison
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     verdict: str  # "distinct" or "diffeo_candidate"
     caveats: Tuple[str, ...]
     orientation_reversal_match: bool

@@ -19,9 +19,8 @@ All computations are exact (integers and ``Fraction``).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import (RationalMatrix, clear_denominators, hermite_row_basis,
                     int_matmul, integer_kernel, smith_normal_form, transpose)
@@ -39,8 +38,7 @@ def _gram_entry(x) -> int:
     return int(x)
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(NamedTuple):
     """An integral lattice given by its Gram matrix.
 
     Attributes:
@@ -79,8 +77,7 @@ class GramLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(NamedTuple):
     """Finite-rank abelian group: invariant factors plus a free rank."""
 
     invariant_factors: Tuple[int, ...]
@@ -94,8 +91,7 @@ class FiniteAbelianGroup:
         return order
 
 
-@dataclass(frozen=True)
-class DiscriminantForm:
+class DiscriminantForm(NamedTuple):
     """A finite abelian group with a Q/Z-valued symmetric pairing.
 
     Attributes:
@@ -108,8 +104,7 @@ class DiscriminantForm:
     pairing: Tuple[Tuple[Fraction, ...], ...]
 
 
-@dataclass
-class CokernelPresentation:
+class CokernelPresentation(NamedTuple):
     """Presentation of Z^m / A·Z^n through a Smith normal form D = P A Q.
 
     The torsion generator z_i is column i of P^-1, of order d_i = D[i][i];

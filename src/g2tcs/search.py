@@ -9,12 +9,11 @@ entry of each block.  Every search makes the gluing decision of its pair
 torus flags, or whose gluing is not simply connected, fails at every bound.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import isqrt
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import BuildingBlock, Catalog
 from .configuration import (
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MatchCandidate:
+class MatchCandidate(NamedTuple):
     """One admissible matching: blocks, angle, pushout and its invariants."""
 
     plus_id: str
@@ -287,7 +285,10 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
     the kinds admit no torus flags, ValueError when pi1 is not trivial.
     Cross-blocks C with entries in [-bound, bound] are then screened in
     integers (see ``_CrossScreen``): cos^2(theta) must be an eigenvalue of
-    G+^{-1} C G-^{-1} C^T, or its only eigenvalue when ``pure`` is set.
+    m+ = G+^{-1} C G-^{-1} C^T, or its only eigenvalue when ``pure`` is set.
+    Pure means m+ = cos^2 I and m- = cos^2 I; D(C) = 0 is the first, which
+    gives the second for equal ranks.  For cos^2 != 0 and unequal ranks m±
+    on the larger side has too small a rank, so a pure search returns [].
     The pure screen is a row-by-row enumeration that never visits most of
     the box; the general screen solves an integer quadratic for the last
     entry of each block.  Each surviving pushout must then pass structural
@@ -307,6 +308,8 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
     angle.require_simply_connected()
     screen = _CrossScreen(plus.N.gram, minus.N.gram, angle.cos_squared)
     rp, rm = plus.rank, minus.rank
+    if pure and angle.cos_squared and rp != rm:
+        return []
     perms_plus = _gram_permutations(plus.N.gram)
     perms_minus = _gram_permutations(minus.N.gram)
     seen = set()

@@ -228,6 +228,22 @@ def test_match_pure_3x3(runner):
     assert doc and all(m["report"]["pure"] for m in doc)
 
 
+def test_match_pure_needs_purity_on_both_sides(runner):
+    # D(C) = 0 holds here (m+ = I/2 on the rank-1 side) but m- on the
+    # rank-3 side has rank 1: the hit that used to be listed reports
+    # "pure": false.
+    result = invoke(runner, "match", "--plus", "3.22_1", "--minus", "5.14",
+                    "--theta", "1/4pi", "--bound", "1", "--pure",
+                    "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.output) == []
+    result = invoke(runner, "match", "--plus", "3.22_1", "--minus", "5.14",
+                    "--theta", "1/4pi", "--bound", "1", "--format", "json")
+    hits = json.loads(result.output)
+    assert result.exit_code == 0 and hits
+    assert not any(m["report"]["pure"] for m in hits)
+
+
 def test_match_rank2_requires_bound(runner):
     result = invoke(runner, "match", "--plus", "3.28", "--minus", "3.28",
                     "--theta", "1/6pi")
@@ -413,11 +429,20 @@ GLUE_DOC = {
     ("base_gram", [196, 0]),
     ("plus_basis", ["9/49", "8/49"]),
     ("minus_basis", ["0", "-1/14", "3/14", "0"]),
+    pytest.param("base_gram", {
+        "plus": "3.22_1", "minus": "3.8_1_4", "theta": "1/4pi",
+        "base_gram": [], "plus_basis": [[]], "minus_basis": [[]]},
+        id="base_gram-empty"),
 ])
 def test_invariants_rejects_malformed_glue_entries(runner, tmp_path, field,
                                                     row):
+    # ``row`` replaces the first row of ``field`` in GLUE_DOC; a dict is a
+    # whole document.
     doc = json.loads(json.dumps(GLUE_DOC))
-    doc[field][0] = row
+    if isinstance(row, dict):
+        doc = row
+    else:
+        doc[field][0] = row
     path = _write_config(tmp_path, doc)
     result = invoke(runner, "invariants", "--config", path)
     assert result.exit_code == 4

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -133,6 +134,34 @@ def test_configuration_refuses_an_angle_decided_for_other_kinds(catalog):
             "(involution, involution)")):
         Configuration(plus, minus, GluingAngle(ORD, ORD, F(1, 2)),
                       GramLattice.from_rows([[2, 0], [0, 4]]))
+
+
+# ------------------------------------------------------------------ records
+
+def test_records_are_read_only(catalog, example_configs, example_reports):
+    cfg, _expected = example_configs["8.11"]
+    report, _expected = example_reports["8.11"]
+    for record, name in ((report, "b3"), (catalog.get("3.22_3"), "b3"),
+                         (cfg.angle, "theta"), (cfg.angle, "pi1"),
+                         (cfg, "pushout"), (cfg.pushout, "gram")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_angles_and_configurations_are_equal_by_fields(catalog):
+    plus, minus = catalog.get("3.22_3"), catalog.get("3.23_6")
+    rows = [[6, 3, 3], [3, 2, 4], [3, 4, 2]]
+    first = make_configuration(plus, minus, "1/4pi", rows)
+    second = make_configuration(plus, minus, "1/4pi", rows)
+    assert first is not second and first.angle is not second.angle
+    assert first.angle == second.angle == GluingAngle(INV, INV, F(1, 4))
+    assert validate_configuration(first).ok  # fills the memo of one only
+    assert first._memo and not second._memo
+    assert first == second
+    assert pickle.loads(pickle.dumps(second)) == second
+    reversed_ = make_configuration(plus, minus, "-1/4pi", rows)
+    assert reversed_.angle != first.angle and reversed_ != first
+    assert GluingAngle(INV, ORD, F(1, 4)) != GluingAngle(INV, ORD, F(3, 4))
 
 
 # ----------------------------------------------------------------- validate
@@ -311,6 +340,14 @@ def test_pushout_from_glue_reproduces_degenerate_presentation():
 def test_pushout_from_glue_rejects_fractional_pairing():
     with pytest.raises(ValueError):
         pushout_from_glue([[2]], [[F(1, 2)]], [[1]])
+
+
+@pytest.mark.parametrize("plus,minus", [([[]], [[]]), ([], [])])
+def test_pushout_from_glue_refuses_an_empty_base(plus, minus):
+    # [] x [[]] products lose their width: this used to return [[], []].
+    with pytest.raises(ConfigurationError,
+                       match="glue field 'base_gram' has no rows"):
+        pushout_from_glue([], plus, minus)
 
 
 def _random_glue(rng):

@@ -46,6 +46,15 @@ def fraction_pure(plus, minus, cos2, cross):
         RationalMatrix.identity(plus.rank).scaled(cos2)
 
 
+def fraction_pure_on_both_sides(plus, minus, cos2, cross):
+    """m+ = cos^2 I on N+, and m- = G-^{-1} C^T G+^{-1} C = cos^2 I on N-."""
+    C = RationalMatrix(cross)
+    m_minus = (minus.N.matrix().inverse() * C.transpose()
+               * plus.N.matrix().inverse() * C)
+    return (fraction_pure(plus, minus, cos2, cross)
+            and m_minus == RationalMatrix.identity(minus.rank).scaled(cos2))
+
+
 def fraction_singular(plus, minus, cos2, cross):
     target = RationalMatrix.identity(plus.rank).scaled(cos2)
     return (_composition(plus, minus, cross) - target).det() == 0
@@ -72,7 +81,7 @@ def brute_force_search(plus, minus, theta_text, bound, pure):
     seen = set()
     out = []
     for cross in _cross_blocks(rp, rm, bound):
-        screen = fraction_pure if pure else fraction_singular
+        screen = fraction_pure_on_both_sides if pure else fraction_singular
         if not screen(plus, minus, cos2, cross):
             continue
         rows = _pushout_rows(plus, minus, cross)
@@ -199,6 +208,27 @@ def test_pure_3x3_search_rediscovers_example_8_6(catalog):
     found = {_canonical_gram(hit.pushout, plus.rank, *perms) for hit in hits}
     assert _canonical_gram(rows, plus.rank, *perms) in found
     assert all(hit.report.pure for hit in hits)
+
+
+@pytest.mark.parametrize("plus_id,minus_id,theta", [
+    ("3.22_1", "3.9_10", "1/4pi"), ("3.23_6", "3.8_2_3", "-1/4pi"),
+    ("3.26_2", "3.22_3", "1/6pi")])
+def test_pure_search_of_unequal_ranks_enumerates_nothing(
+        catalog, monkeypatch, plus_id, minus_id, theta):
+    """For cos^2(theta) != 0 no configuration of blocks of unequal rank is
+    pure on both sides, so the search returns [] before the screen runs;
+    the gluing decision still comes first."""
+    def no_blocks(self, bound, pure):
+        raise AssertionError("the screen enumerated a box")
+
+    monkeypatch.setattr(_CrossScreen, "blocks", no_blocks)
+    plus, minus = catalog.get(plus_id), catalog.get(minus_id)
+    assert cross_term_search(plus, minus, theta, 4, pure=True) == []
+    with pytest.raises(AssertionError, match="enumerated"):
+        cross_term_search(plus, minus, theta, 4)
+    with pytest.raises(ConfigurationError, match="admit no torus flags"):
+        cross_term_search(catalog.get("3.8_1_2"), catalog.get("3.9_10"),
+                          "1/4pi", 4, pure=True)
 
 
 def test_screen_rejects_degenerate_block():

@@ -1,6 +1,10 @@
 import ast
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import g2tcs
@@ -76,3 +80,30 @@ def test_every_src_definition_has_a_caller():
         dead |= newly
     unused = sorted(dead - UNUSED_ALLOWED)
     assert not unused, "no caller: " + ", ".join(unused)
+
+
+_STARTUP_CODE = """
+import json, sys
+before = set(sys.modules)
+import g2tcs
+g2tcs.load_catalog()
+core = set(sys.modules) - before
+import g2tcs.cli
+print(json.dumps([sorted(core), sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_import_loads_no_dataclasses_machinery():
+    """Each CLI call starts a fresh interpreter and pays for the import.
+    ``import g2tcs`` plus ``load_catalog()`` loads none of dataclasses,
+    inspect, ast and dis, and ``import g2tcs.cli`` (click loads inspect)
+    not dataclasses; checked by module, not by clock."""
+    env = {k: v for k, v in os.environ.items() if k != "G2TCS_CATALOG"}
+    env["PYTHONPATH"] = str(SRC.parent)
+    done = subprocess.run([sys.executable, "-c", _STARTUP_CODE], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    core, with_cli = json.loads(done.stdout)
+    assert "g2tcs.catalog" in core and "g2tcs.cli" in with_cli
+    assert not {"dataclasses", "inspect", "ast", "dis"} & set(core)
+    assert "dataclasses" not in with_cli

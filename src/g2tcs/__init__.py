@@ -8,9 +8,10 @@ characteristic class divisibility, and the nu-invariants.
 
 from .catalog import (BuildingBlock, Catalog, CatalogError, load_catalog,
                       verify_catalog)
-from .configuration import (Configuration, ConfigurationError, GluingAngle,
-                            make_configuration, pushout_from_glue,
-                            rank1_pushout, validate_configuration)
+from .configuration import (Configuration, ConfigurationError, Gluing,
+                            GluingAngle, make_configuration,
+                            pushout_from_glue, rank1_pushout,
+                            validate_configuration)
 from .invariants import (InvariantReport, compare_2connected, full_report,
                          nu_bar)
 from .search import (MatchCandidate, cross_term_search, rank1_pi4_search,
@@ -20,9 +21,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BuildingBlock", "Catalog", "CatalogError", "load_catalog",
-    "verify_catalog", "Configuration", "ConfigurationError", "GluingAngle",
-    "make_configuration", "pushout_from_glue", "rank1_pushout",
-    "validate_configuration", "InvariantReport", "compare_2connected",
-    "full_report", "nu_bar", "MatchCandidate", "cross_term_search",
-    "rank1_pi4_search", "rank1_pi6_search",
+    "verify_catalog", "Configuration", "ConfigurationError", "Gluing",
+    "GluingAngle", "make_configuration", "pushout_from_glue",
+    "rank1_pushout", "validate_configuration", "InvariantReport",
+    "compare_2connected", "full_report", "nu_bar", "MatchCandidate",
+    "cross_term_search", "rank1_pi4_search", "rank1_pi6_search",
 ]

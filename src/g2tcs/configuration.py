@@ -8,6 +8,8 @@ pushout presentation on the concatenated bases of N+ and N-.
 
 ``GluingAngle`` decides once, from the two block kinds and theta, which
 quotient of each block is glued: the torus flags, side roles and pi1.
+``Gluing`` adds the pair's det G± and adj G±, and a ``Configuration`` is a
+gluing plus how N+ and N- meet: the cross block C of the pushout.
 
 All angles are exact rational multiples of pi; cosines enter only
 through the rational values cos^2(theta) and cos(2 psi).
@@ -24,7 +26,8 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm
+from operator import attrgetter, mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import BuildingBlock
@@ -49,12 +52,16 @@ class ConfigurationError(ValueError):
     """Raised for malformed or inadmissible configuration input."""
 
 
-def parse_theta(text: str) -> Tuple[Fraction, int]:
-    """Parse an exact angle string like "1/4pi" or "-pi/6".
+def parse_theta(text) -> Tuple[Fraction, int]:
+    """Parse an exact angle string like "1/4pi" or "-pi/6", or a Fraction
+    of pi, which is read as its "p/qpi" string.
 
     Returns (theta, orientation) with theta a positive fraction of pi in
     (0, 1) and orientation -1 when the input was negative.
     """
+    if not isinstance(text, str):
+        q = Fraction(text)
+        text = f"{q.numerator}/{q.denominator}pi"
     s = text.replace(" ", "").replace("*", "")
     orientation = 1
     if s.startswith("-"):
@@ -176,6 +183,43 @@ def per_configuration(fn):
     return memoised
 
 
+class _GluingFields(NamedTuple):
+    plus: BuildingBlock
+    minus: BuildingBlock
+    angle: GluingAngle
+    det_plus: int
+    det_minus: int
+    adj_plus: IntMatrix
+    adj_minus: IntMatrix
+
+
+class Gluing(_GluingFields):
+    """Two blocks, their gluing decision, and det G± and adj G± of N±.
+
+    The constructor refuses an angle decided for other block kinds and a
+    degenerate N+ or N-, and factors G± once for every cross block of the
+    pair. Equal by fields; copy and pickle rebuild it from its inputs.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, plus: BuildingBlock, minus: BuildingBlock,
+                angle: GluingAngle):
+        if (angle.kind_plus, angle.kind_minus) != (plus.kind, minus.kind):
+            raise ConfigurationError(
+                f"angle decided for blocks ({angle.kind_plus}, "
+                f"{angle.kind_minus}), not ({plus.kind}, {minus.kind})")
+        Gp, Gm = plus.N.gram, minus.N.gram
+        det_plus, det_minus = int_det(Gp), int_det(Gm)
+        if det_plus == 0 or det_minus == 0:
+            raise ConfigurationError("gluing needs nondegenerate N+ and N-")
+        return super().__new__(cls, plus, minus, angle, det_plus, det_minus,
+                               adjugate(Gp), adjugate(Gm))
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the inputs
+        return self[:3]
+
+
 class Pencil(NamedTuple):
     """The gluing angle of a configuration as integer matrices.
 
@@ -187,66 +231,55 @@ class Pencil(NamedTuple):
     ``cofactor`` is the rest of the charpoly.
     """
 
-    det_plus: int
-    det_minus: int
+    s: int
     AC: IntMatrix
     BCt: IntMatrix
     N: Tuple[IntMatrix, IntMatrix]
     roots: Tuple[Tuple[int, int], ...]
     cofactor: Tuple[int, ...]
 
-    @property
-    def s(self) -> int:
-        return self.det_plus * self.det_minus
-
 
 class _ConfigurationFields(NamedTuple):
-    plus: BuildingBlock
-    minus: BuildingBlock
-    angle: GluingAngle
-    pushout: GramLattice
+    gluing: Gluing
+    cross: Tuple[Tuple[int, ...], ...]
 
 
 class Configuration(_ConfigurationFields):
-    """A gluing configuration: two blocks, an angle, a pushout Gram.
+    """A gluing configuration: a ``Gluing`` and its cross block.
 
-    The pushout is the (rho+ + rho-)-dimensional Gram matrix of the
-    concatenated bases of N+ and N- inside the K3 lattice; it may be
-    degenerate when the two sublattices intersect. Its derived data (the
-    inertia of the pushout, the integer pencil with its eigenspaces, the
+    ``cross`` holds the rho+ x rho- pairings C of the bases of N+ and N-
+    as int tuples (``make_configuration`` checks the shape). The pushout,
+    the (possibly degenerate) Gram matrix of both bases, and the other
+    derived data (inertia, the integer pencil with its eigenspaces, the
     validation report, the boundary presentation) are computed once, on
-    first use, by the functions marked ``per_configuration``, and kept in
-    the instance's ``_memo``: the fields stay read-only and equality stays
-    by field, with the memo outside it.
-    ``projections`` and ``side_compositions`` give pi± and m± as rational
-    matrices; nothing in the package calls them.
+    first use, by the ``per_configuration`` functions and kept in
+    ``_memo``, outside equality, copies and pickles; fields and pushout
+    are read-only. ``projections`` and ``side_compositions`` give pi±
+    and m± as rational matrices; nothing in the package calls them.
     """
 
-    def __new__(cls, plus: BuildingBlock, minus: BuildingBlock,
-                angle: GluingAngle, pushout: GramLattice):
-        if (angle.kind_plus, angle.kind_minus) != (plus.kind, minus.kind):
-            raise ConfigurationError(
-                f"angle decided for blocks ({angle.kind_plus}, "
-                f"{angle.kind_minus}), not ({plus.kind}, {minus.kind})")
-        return super().__new__(cls, plus, minus, angle, pushout)
+    plus = property(attrgetter("gluing.plus"))
+    minus = property(attrgetter("gluing.minus"))
+    angle = property(attrgetter("gluing.angle"))
+    rho_plus = property(attrgetter("gluing.plus.rank"))
+    rho_minus = property(attrgetter("gluing.minus.rank"))
 
-    @property
-    def rho_plus(self) -> int:
-        return self.plus.rank
-
-    @property
-    def rho_minus(self) -> int:
-        return self.minus.rank
-
-    def cross_block(self) -> IntMatrix:
-        """The rho+ x rho- cross pairing block C of the pushout."""
-        rp = self.rho_plus
-        return [list(row[rp:]) for row in self.pushout.gram[:rp]]
+    def __reduce__(self):  # copy and pickle leave the memo out
+        return type(self), tuple(self)
 
     @functools.cached_property
     def _memo(self) -> dict:
         """Values of the ``per_configuration`` functions, by call."""
         return {}
+
+    @property
+    @per_configuration
+    def pushout(self) -> GramLattice:
+        """The pushout Gram: N+ and N- on the diagonal, C and C^T off it."""
+        C = self.cross
+        rows = [(*p, *c) for p, c in zip(self.plus.N.gram, C)]
+        rows += [(*c, *m) for c, m in zip(zip(*C), self.minus.N.gram)]
+        return GramLattice(tuple(rows))
 
     @per_configuration
     def inertia(self) -> Tuple[int, int, int]:
@@ -261,7 +294,7 @@ class Configuration(_ConfigurationFields):
         pi_plus = G+^{-1} C maps N- coordinates to N+ coordinates and
         vice versa for pi_minus = G-^{-1} C^T.
         """
-        C = RationalMatrix(self.cross_block())
+        C = RationalMatrix(self.cross)
         Gp = self.plus.N.matrix()
         Gm = self.minus.N.matrix()
         return Gp.inverse() * C, Gm.inverse() * C.transpose()
@@ -274,19 +307,15 @@ class Configuration(_ConfigurationFields):
 
     @per_configuration
     def pencil(self) -> Pencil:
-        """The integer pencil of the gluing angle (see ``Pencil``)."""
-        Gp, Gm = self.plus.N.gram, self.minus.N.gram
-        det_plus, det_minus = int_det(Gp), int_det(Gm)
-        if det_plus == 0 or det_minus == 0:
-            raise ValueError("matrix is singular")
-        C = self.cross_block()
-        AC = int_matmul(adjugate(Gp), C)
-        BCt = int_matmul(adjugate(Gm), transpose(C))
-        s = det_plus * det_minus
+        """The integer pencil (see ``Pencil``), from the gluing's G±."""
+        g = self.gluing
+        AC = int_matmul(g.adj_plus, self.cross)
+        BCt = int_matmul(g.adj_minus, transpose(self.cross))
+        s = g.det_plus * g.det_minus
         N = (int_matmul(AC, BCt), int_matmul(BCt, AC))
         roots, cofactor = integer_roots(int_charpoly(N[0]),
                                         min(0, s), max(0, s))
-        return Pencil(det_plus, det_minus, AC, BCt, N,
+        return Pencil(s, AC, BCt, N,
                       tuple(sorted(roots, key=lambda r: r[0] * s)),
                       tuple(cofactor))
 
@@ -296,23 +325,31 @@ def make_configuration(plus: BuildingBlock, minus: BuildingBlock,
                        orientation: Optional[int] = None) -> Configuration:
     """Build a configuration from blocks, an angle and a full pushout Gram.
 
-    theta may be a string ("1/4pi") or a Fraction of pi (negative for the
-    reversed orientation). The angle is the gluing decision of the two
-    block kinds (``GluingAngle``), which raises ConfigurationError when
-    they admit no torus flags at theta.
+    The one reader of a full pushout. theta is read by ``parse_theta``
+    (negative for the reversed orientation, which ``orientation`` can
+    override). It refuses, in this order: the angle; the gluing decision
+    (``GluingAngle``, ``Gluing``); the Gram entries; and a Gram that is not
+    N+ and N- glued by a cross block, naming each problem, joined by "; ".
     """
-    if isinstance(theta, str):
-        theta, parsed_orientation = parse_theta(theta)
-        if orientation is None:
-            orientation = parsed_orientation
-    else:
-        theta = Fraction(theta)
-        if orientation is None:
-            orientation = 1 if theta > 0 else -1
-        theta = abs(theta)
-    angle = GluingAngle(plus.kind, minus.kind, theta, orientation)
-    gram = GramLattice.from_rows(pushout_rows)
-    return Configuration(plus=plus, minus=minus, angle=angle, pushout=gram)
+    theta, parsed = parse_theta(theta)
+    angle = GluingAngle(plus.kind, minus.kind, theta,
+                        parsed if orientation is None else orientation)
+    gluing = Gluing(plus, minus, angle)
+    W = GramLattice.from_rows(pushout_rows).gram
+    rp, rm = plus.rank, minus.rank
+    if len(W) != rp + rm:
+        raise ConfigurationError(
+            f"pushout rank {len(W)} != rho+ + rho- = {rp + rm}")
+    problems = []
+    if [row[:rp] for row in W[:rp]] != list(plus.N.gram):
+        problems.append("leading diagonal block differs from N+")
+    if [row[rp:] for row in W[rp:]] != list(minus.N.gram):
+        problems.append("trailing diagonal block differs from N-")
+    if any(W[i][i] % 2 for i in range(rp + rm)):
+        problems.append("pushout must be an even lattice")
+    if problems:
+        raise ConfigurationError("; ".join(problems))
+    return Configuration(gluing, tuple(row[rp:] for row in W[:rp]))
 
 
 def pushout_from_glue(base_gram: Sequence[Sequence],
@@ -386,39 +423,24 @@ def _roots_between_0_and_s(pencil: Pencil) -> bool:
 
 @per_configuration
 def validate_configuration(cfg: Configuration) -> ValidationReport:
-    """Structural checks of a configuration's pushout presentation.
+    """The checks of a configuration that vary with its cross block.
 
-    Verifies block-diagonal agreement with N+/N-, even integrality,
-    signature (2, rk-2) of the nondegenerate quotient (n+ = 2 in the
-    pushout's inertia), eigenvalues of pi+ pi- inside [0, 1], and the
-    embedding bound rk = n+ + n- <= 11 (flagged, not failed, when
-    exceeded).
+    Verifies signature (2, rk-2) of the nondegenerate quotient (n+ = 2 in
+    the pushout's inertia) and eigenvalues of pi+ pi- inside [0, 1], and
+    flags (does not fail) rk = n+ + n- > 11. The diagonal blocks and
+    evenness hold by construction.
     """
     problems: List[str] = []
     flags: List[str] = []
-    rp, rm = cfg.rho_plus, cfg.rho_minus
-    W = cfg.pushout
-    if W.rank != rp + rm:
-        return ValidationReport(False, (
-            f"pushout rank {W.rank} != rho+ + rho- = {rp + rm}",), ())
-    if any(W.gram[i][:rp] != row for i, row in enumerate(cfg.plus.N.gram)):
-        problems.append("leading diagonal block differs from N+")
-    if any(W.gram[rp + i][rp:] != row
-           for i, row in enumerate(cfg.minus.N.gram)):
-        problems.append("trailing diagonal block differs from N-")
-    if not W.is_even():
-        problems.append("pushout must be an even lattice")
-    if not problems:
-        pos, neg, _zero = cfg.inertia()
-        if pos != 2:
-            problems.append(
-                f"signature must be (2, rk-2); quotient has "
-                f"({pos}, {neg}, 0)")
-        if not _roots_between_0_and_s(cfg.pencil()):
-            problems.append("eigenvalues of pi+ pi- must lie in [0, 1]")
-        if pos + neg > 11:
-            flags.append("rank > 11: primitive embedding into the K3 "
-                         "lattice not guaranteed")
+    pos, neg, _zero = cfg.inertia()
+    if pos != 2:
+        problems.append(
+            f"signature must be (2, rk-2); quotient has ({pos}, {neg}, 0)")
+    if not _roots_between_0_and_s(cfg.pencil()):
+        problems.append("eigenvalues of pi+ pi- must lie in [0, 1]")
+    if pos + neg > 11:
+        flags.append("rank > 11: primitive embedding into the K3 "
+                     "lattice not guaranteed")
     return ValidationReport(not problems, tuple(problems), tuple(flags))
 
 
@@ -455,7 +477,7 @@ def d_theta(cfg: Configuration) -> int:
     directions orthogonal to all of N+ (the kernel of C).
     """
     if cfg.angle.cos_squared == 0:
-        C = cfg.cross_block()
+        C = cfg.cross
         return len(integer_kernel(transpose(C))) + len(integer_kernel(C))
     return len(_cos_squared_space(cfg, 0, cfg.angle.cos_squared))
 
@@ -515,7 +537,7 @@ def configuration_angles(cfg: Configuration) -> AngleSpectrum:
     if len(pencil.cofactor) > 1:
         raise ArithmeticError("algebraic angles unsupported")
     s = pencil.s
-    C = cfg.cross_block()
+    C = cfg.cross
     pi_pos = pi_neg = zero_pos = zero_neg = 0
     pairs_plus: List[Tuple[Fraction, int]] = []
     pairs_minus: List[Tuple[Fraction, int]] = []
@@ -592,9 +614,7 @@ def rank1_pushout(n_plus: int, n_minus: int,
     square. For pi/4 the unique decomposition n+ = 2 m q+^2,
     n- = m q-^2 with coprime q± is returned as well.
     """
-    if isinstance(theta, str):
-        theta, _orient = parse_theta(theta)
-    theta = abs(Fraction(theta))
+    theta, _orientation = parse_theta(theta)
     if n_plus <= 0 or n_minus <= 0 or n_plus % 2 or n_minus % 2:
         raise ValueError("generator squares must be positive even")
     c2 = COS_SQUARED[theta]
@@ -626,8 +646,10 @@ def _strict_solution(rows: List[List[int]], k: int) -> Optional[List[int]]:
     Linear and Integer Programming", 1986, section 7): each row with last
     entry c > 0 is paired with each row with last entry c' < 0 as
     |c'| lower + c upper, divided by its gcd. The system is homogeneous,
-    so the projected solution is scaled by 2 prod |c|: then each bound on
-    the last entry is an integer, each lower one 2 or more below each upper.
+    so a solution t of the projected system may be scaled. The last entry
+    is the least integer above the lower bounds, if below the upper ones;
+    else t is scaled by 2 lcm |c|: then each bound is an integer and each
+    lower one 2 or more below each upper.
     """
     if k == 0:
         return None if rows else []
@@ -645,15 +667,19 @@ def _strict_solution(rows: List[List[int]], k: int) -> Optional[List[int]]:
     t = _strict_solution(projected, k - 1)
     if t is None:
         return None
-    scale = 2 * prod(abs(r[-1]) for r in lower + upper)
-    t = [scale * x for x in t]
-    # r[:-1] . t + r[-1] x > 0 bounds x by -(r[:-1] . t) / r[-1], an
-    # integer once t is scaled.
-    lows, ups = ([-sum(a * b for a, b in zip(r, t)) // r[-1] for r in side]
-                 for side in (lower, upper))
-    t.append(max(lows) + 1 if lows else min(ups) - 1 if ups else 0)
+    bounds = lower + upper
+    for scale in (1, 2 * lcm(*(abs(r[-1]) for r in bounds))):
+        t_scaled = [scale * x for x in t]
+        # r[:-1] . t + c x > 0 for c = r[-1] bounds x below (c > 0) or
+        # above (c < 0) by -(r[:-1] . t) / c.
+        dots = [(sum(map(mul, r, t_scaled)), r[-1]) for r in bounds]
+        x = (max(-d // c for d, c in dots if c > 0) + 1 if lower
+             else min(-(d // c) for d, c in dots) - 1 if upper else 0)
+        if all(d + c * x > 0 for d, c in dots):
+            break
+    t = t_scaled + [x]
     g = gcd(*t) or 1
-    return [x // g for x in t]
+    return [v // g for v in t]
 
 
 def feasibility_cone_check(cfg: Configuration):
@@ -675,9 +701,9 @@ def feasibility_cone_check(cfg: Configuration):
     plus = _cos_squared_space(cfg, 0, cfg.angle.cos_squared)
     if not plus:
         return False, None
-    pencil = cfg.pencil()
-    sign = cfg.angle.epsilon * (1 if pencil.det_minus > 0 else -1)
+    sign = cfg.angle.epsilon * (1 if cfg.gluing.det_minus > 0 else -1)
     rows = transpose(plus)
-    rows += [[sign * x for x in row] for row in int_matmul(pencil.BCt, rows)]
+    rows += [[sign * x for x in row]
+             for row in int_matmul(cfg.pencil().BCt, rows)]
     t = _strict_solution(rows, len(plus))
     return (False, None) if t is None else (True, int_matmul([t], plus)[0])

@@ -319,7 +319,7 @@ def smith_normal_form(
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    D = [row[:] for row in A]
+    D = [list(row) for row in A]
     P = [[int(i == j) for j in range(m)] for i in range(m)]
     Q = [[int(i == j) for j in range(n)] for i in range(n)]
     Pinv = [[int(i == j) for j in range(m)] for i in range(m)]

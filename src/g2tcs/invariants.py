@@ -66,10 +66,7 @@ def betti(cfg: Configuration) -> Tuple[int, int]:
     contributions, with a side entering through b3+ when the gluing
     decision (``GluingAngle.roles``) uses it in its involution role.
     """
-    if cfg.angle.pi1 != "simply_connected":
-        raise ValueError(
-            f"Betti formula applies to simply connected gluings; this "
-            f"configuration has pi1 class {cfg.angle.pi1!r}")
+    cfg.angle.require_simply_connected()
     b2 = cfg.inertia()[2]
     side_b3 = sum(block.b3plus if role == "involution" else block.b3
                   for block, role in zip((cfg.plus, cfg.minus),
@@ -92,8 +89,6 @@ class BoundaryData(NamedTuple):
 
     matrix: Tuple[Tuple[int, ...], ...]
     p_class: Tuple[int, ...]
-    domain_labels: Tuple[str, ...]
-    codomain_labels: Tuple[str, ...]
     domain_embedding: Tuple[Tuple[int, ...], ...]
 
 
@@ -109,7 +104,7 @@ def boundary_data(cfg: Configuration) -> BoundaryData:
     c2 = _require_torsion_angle(cfg)
     rp, rm = cfg.rho_plus, cfg.rho_minus
     Gp, Gm = cfg.plus.N.gram, cfg.minus.N.gram
-    C = cfg.cross_block()
+    C = cfg.cross
     Bp = even_dual_kernel(cfg.plus.N)  # rows: domain basis in N+ coords
     if c2 == Fraction(1, 2):
         minus_rows = [[int(i == j) for j in range(rm)] for i in range(rm)]
@@ -132,16 +127,10 @@ def boundary_data(cfg: Configuration) -> BoundaryData:
                                     int_matmul(minus_rows, Gm))]
     embed = ([list(x) + [0] * rm for x in Bp]
              + [[0] * rp + list(y) for y in minus_rows])
-    labels = ([f"x{j + 1}" for j in range(len(Bp))]
-              + [f"y{j + 1}" for j in range(len(minus_rows))])
     p_class = tuple([v // 2 for v in cfg.plus.c2bar] + list(p_minus))
-    codomain = tuple([f"a{i + 1}*" for i in range(rp)]
-                     + [f"n{i + 1}*" for i in range(rm)])
     return BoundaryData(
         matrix=tuple(zip(*cols)),
         p_class=p_class,
-        domain_labels=tuple(labels),
-        codomain_labels=codomain,
         domain_embedding=tuple(tuple(r) for r in embed),
     )
 
@@ -200,7 +189,7 @@ def pure_angle_torsion(cfg: Configuration) -> PureTorsion:
         raise ValueError("pure-angle shortcut requires a pure angle")
     rp, rm = cfg.rho_plus, cfg.rho_minus
     pencil = cfg.pencil()
-    det_plus, det_minus = pencil.det_plus, pencil.det_minus
+    det_plus, det_minus = cfg.gluing.det_plus, cfg.gluing.det_minus
     # N+ + 2 pi+ N- with pi+ = AC / det G+, over the denominator det G+.
     gens = [[det_plus * (i == j) for j in range(rp)] for i in range(rp)]
     gens += [[2 * row[j] for row in pencil.AC] for j in range(rm)]
@@ -602,7 +591,6 @@ def full_report(cfg: Configuration) -> InvariantReport:
     v = validate_configuration(cfg)
     if not v.ok:
         raise ValueError("invalid configuration: " + "; ".join(v.problems))
-    cfg.angle.require_simply_connected()
     b2, b3 = betti(cfg)
     angles = configuration_angles(cfg)
     nb = nu_bar(angles, cfg.angle.theta, cfg.angle.orientation)
@@ -677,22 +665,25 @@ def compare_2connected(r1: InvariantReport,
                              "(trivial pi1 and b2 = 0)")
         if not r.torsion_supported:
             raise ValueError("comparison requires torsion data")
-    reversal = _reversal_match(r1, r2)
+    factors = r1.torsion.invariant_factors
     if r1.b3 != r2.b3:
-        return Comparison("distinct", (), reversal, "b3 differs")
-    if r1.torsion.invariant_factors != r2.torsion.invariant_factors:
-        return Comparison("distinct", (), reversal,
-                          "torsion group differs")
-    if (r1.d_free, r1.d_full) != (r2.d_free, r2.d_full):
-        return Comparison("distinct", (), reversal,
-                          "p(M) divisibility differs")
-    if not linking_forms_equivalent(r1.torsion.invariant_factors,
-                                    r1.linking, r2.linking):
-        return Comparison("distinct", (), reversal,
-                          "no group automorphism matches the linking "
-                          "forms")
+        detail = "b3 differs"
+    elif factors != r2.torsion.invariant_factors:
+        detail = "torsion group differs"
+    elif (r1.d_free, r1.d_full) != (r2.d_free, r2.d_full):
+        detail = "p(M) divisibility differs"
+    else:
+        detail = None
+    # The same gates decide the match with r2's orientation reversed.
+    reversal = detail is None and linking_forms_equivalent(
+        factors, r1.linking, _negate_pairing(r2.linking))
+    if detail is None and not linking_forms_equivalent(
+            factors, r1.linking, r2.linking):
+        detail = "no group automorphism matches the linking forms"
+    if detail is not None:
+        return Comparison("distinct", (), reversal, detail)
     caveats = []
-    if any(d % 2 == 0 for d in r1.torsion.invariant_factors):
+    if any(d % 2 == 0 for d in factors):
         caveats.append("q")
     if r1.d_free % 8 == 0:
         caveats.append("mu")
@@ -701,13 +692,3 @@ def compare_2connected(r1: InvariantReport,
     return Comparison("diffeo_candidate", tuple(caveats), reversal,
                       "all computed classifying invariants agree")
 
-
-def _reversal_match(r1: InvariantReport, r2: InvariantReport) -> bool:
-    """Whether r2 matches r1 after reversing r2's orientation."""
-    if (r1.b3, r1.d_free, r1.d_full) != (r2.b3, r2.d_free, r2.d_full):
-        return False
-    if r1.torsion.invariant_factors != r2.torsion.invariant_factors:
-        return False
-    return linking_forms_equivalent(r1.torsion.invariant_factors,
-                                    r1.linking,
-                                    _negate_pairing(r2.linking))

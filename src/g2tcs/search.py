@@ -4,9 +4,9 @@ Two closed-form searches cover rank-1 x rank-1 gluings (where the cross
 term is determined up to sign by the generator squares).  For higher ranks
 a bounded search screens integer cross-blocks exactly, building them row by
 row for pure angles and otherwise solving an integer quadratic for the last
-entry of each block.  Every search makes the gluing decision of its pair
-(``GluingAngle``) once, before it enumerates: a pair whose kinds admit no
-torus flags, or whose gluing is not simply connected, fails at every bound.
+entry of each block.  Every search decides the gluing of its pair once
+(``GluingAngle``, ``Gluing``), before it enumerates: a pair whose kinds admit
+no torus flags, or whose gluing is not simply connected, fails at any bound.
 """
 
 from fractions import Fraction
@@ -21,17 +21,16 @@ from .configuration import (
     SIMPLY_CONNECTED,
     Configuration,
     ConfigurationError,
+    Gluing,
     GluingAngle,
     d_theta,
     feasibility_cone_check,
-    make_configuration,
     parse_theta,
     rank1_pushout,
     validate_configuration,
 )
 from .exact import adjugate, int_det
 from .invariants import InvariantReport, full_report
-from .lattices import GramLattice
 
 __all__ = [
     "MatchCandidate",
@@ -85,8 +84,8 @@ def rank1_candidate(plus: BuildingBlock, minus: BuildingBlock,
     push = rank1_pushout(plus.N.gram[0][0], minus.N.gram[0][0], theta)
     if push is None:
         return None
-    report = full_report(Configuration(plus, minus, angle,
-                                       GramLattice.from_rows(push.gram)))
+    report = full_report(Configuration(Gluing(plus, minus, angle),
+                                       ((push.gram[0][1],),)))
     return MatchCandidate(plus_id=plus.id, minus_id=minus.id,
                           theta=report.theta, pushout=push.gram, report=report,
                           rank1_decomposition=None if push.m is None
@@ -95,9 +94,7 @@ def rank1_candidate(plus: BuildingBlock, minus: BuildingBlock,
 
 def rank1_candidate_count(catalog: Catalog, theta) -> int:
     """Number of ordered rank-1 block pairs scanned at the given angle."""
-    if isinstance(theta, str):
-        theta, _ = parse_theta(theta)
-    return len(_rank1_pairs(catalog, Fraction(theta)))
+    return len(_rank1_pairs(catalog, parse_theta(theta)[0]))
 
 
 def _rank1_search(catalog: Catalog, theta_text: str) -> List[MatchCandidate]:
@@ -174,17 +171,14 @@ class _CrossScreen:
     exactly when D(C) = 0.  Entry (i, j) of D(C) depends only on rows i and
     j of C: the pure screen runs row by row, and the singular screen fixes
     all rows but the last, on which det D(C) is an integer quadratic form.
+    d and A are given: the search reads them off the pair's ``Gluing``.
     """
 
-    def __init__(self, plus_gram: Sequence[Sequence[int]],
-                 minus_gram: Sequence[Sequence[int]], cos2: Fraction):
-        d = int_det(minus_gram)
-        if d == 0 or int_det(plus_gram) == 0:
-            raise ValueError("cross-term search needs nondegenerate blocks")
+    def __init__(self, plus_gram: Sequence[Sequence[int]], det_minus: int,
+                 adj_minus: Sequence[Sequence[int]], cos2: Fraction):
         # den * adj(G-); symmetric because G- is.
-        self._adj = [[cos2.denominator * x for x in row]
-                     for row in adjugate(minus_gram)]
-        self._target = [[cos2.numerator * d * x for x in row]
+        self._adj = [[cos2.denominator * x for x in row] for row in adj_minus]
+        self._target = [[cos2.numerator * det_minus * x for x in row]
                         for row in plus_gram]
 
     def _scaled(self, row: Sequence[int]) -> Tuple[int, ...]:
@@ -291,34 +285,32 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
     on the larger side has too small a rank, so a pure search returns [].
     The pure screen is a row-by-row enumeration that never visits most of
     the box; the general screen solves an integer quadratic for the last
-    entry of each block.  Each surviving pushout must then pass structural
-    validation, have the angle in its spectrum with multiplicity
-    d_theta >= 1 (general case) and a feasible ample-cone compatibility
-    system.  Equal Grams that differ only by basis permutations preserving
-    both ample cones are deduplicated.  Hits come in the row-major
-    lexicographic order of the cross-block entries.
+    entry of each block.  Each surviving block C, as the configuration of
+    C and the pair's ``Gluing``, must then pass validation, have the angle
+    in its spectrum with multiplicity d_theta >= 1 (general case) and a
+    feasible ample-cone compatibility system.  Equal Grams that differ only
+    by basis permutations preserving both ample cones are deduplicated.
+    Hits come in the row-major lexicographic order of the cross-block
+    entries.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if plus.rank > 3 or minus.rank > 3:
         raise ValueError("cross-term search supports blocks of rank <= 3")
-    theta_text = theta if isinstance(theta, str) else f"{Fraction(theta)}pi"
-    theta_frac, orientation = parse_theta(theta_text)
-    angle = GluingAngle(plus.kind, minus.kind, theta_frac, orientation)
+    angle = GluingAngle(plus.kind, minus.kind, *parse_theta(theta))
     angle.require_simply_connected()
-    screen = _CrossScreen(plus.N.gram, minus.N.gram, angle.cos_squared)
-    rp, rm = plus.rank, minus.rank
-    if pure and angle.cos_squared and rp != rm:
+    gluing = Gluing(plus, minus, angle)
+    screen = _CrossScreen(plus.N.gram, gluing.det_minus, gluing.adj_minus,
+                          angle.cos_squared)
+    rp = plus.rank
+    if pure and angle.cos_squared and rp != minus.rank:
         return []
     perms_plus = _gram_permutations(plus.N.gram)
     perms_minus = _gram_permutations(minus.N.gram)
     seen = set()
     out: List[MatchCandidate] = []
     for cross in screen.blocks(bound, pure):
-        rows = [list(plus.N.gram[i]) + list(cross[i]) for i in range(rp)]
-        rows += [[cross[i][j] for i in range(rp)] + list(minus.N.gram[j])
-                 for j in range(rm)]
-        cfg = make_configuration(plus, minus, theta_text, rows)
+        cfg = Configuration(gluing, cross)
         if not validate_configuration(cfg).ok:
             continue
         if not pure and d_theta(cfg) < 1:
@@ -326,6 +318,7 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
         feasible, _witness = feasibility_cone_check(cfg)
         if not feasible:
             continue
+        rows = cfg.pushout.gram
         key = _canonical_gram(rows, rp, perms_plus, perms_minus)
         if key in seen:
             continue
@@ -333,6 +326,5 @@ def cross_term_search(plus: BuildingBlock, minus: BuildingBlock, theta,
         seen.add(key)
         out.append(MatchCandidate(
             plus_id=plus.id, minus_id=minus.id, theta=report.theta,
-            pushout=tuple(tuple(r) for r in rows),
-            rank1_decomposition=None, report=report))
+            pushout=rows, rank1_decomposition=None, report=report))
     return out

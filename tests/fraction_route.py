@@ -243,7 +243,7 @@ def angles(cfg) -> AngleSpectrum:
 
 def rational_d_theta(cfg) -> int:
     if cfg.angle.cos_squared == 0:
-        C = _matrix(cfg.cross_block())
+        C = _matrix(cfg.cross)
         return ((cfg.rho_plus - C.rank())
                 + (cfg.rho_minus - C.transpose().rank()))
     return len(eigenspace(cfg, 0, cfg.angle.cos_squared))
@@ -344,7 +344,7 @@ def boundary_matrix(cfg):
     if c2 == F(3, 4) and cfg.minus.kind != "involution":
         raise ValueError("hexagonal gluing needs involution blocks")
     Gp, Gm = _matrix(cfg.plus.N.gram), _matrix(cfg.minus.N.gram)
-    C = _matrix(cfg.cross_block())
+    C = _matrix(cfg.cross)
     if c2 == F(1, 2):
         minus_rows = [[int(i == j) for j in range(rm)] for i in range(rm)]
         scale = F(1)

@@ -368,6 +368,39 @@ def test_invariants_invalid_config(runner, tmp_path):
     assert result.exit_code == 4
 
 
+# Pushouts of 3.22_1 x 3.9_10 at 1/4pi whose structure is refused, with the
+# stderr that the command printed when validation reported the problems.
+STRUCTURE_REFUSALS = [
+    ([[2, 3], [3, 8]], b"error: pushout rank 2 != rho+ + rho- = 3\n"),
+    ([[2, 3, 1, 0], [3, 8, 4, 0], [1, 4, 0, 0], [0, 0, 0, 2]],
+     b"error: pushout rank 4 != rho+ + rho- = 3\n"),
+    ([[4, 3, 1], [3, 8, 4], [1, 4, 0]],
+     b"error: leading diagonal block differs from N+\n"),
+    ([[2, 3, 1], [3, 6, 4], [1, 4, 0]],
+     b"error: trailing diagonal block differs from N-\n"),
+    ([[4, 3, 1], [3, 6, 4], [1, 4, 0]],
+     b"error: leading diagonal block differs from N+; trailing diagonal "
+     b"block differs from N-\n"),
+    ([[4, 3, 1], [3, 7, 4], [1, 4, 0]],
+     b"error: leading diagonal block differs from N+; trailing diagonal "
+     b"block differs from N-; pushout must be an even lattice\n"),
+    ([[3, 3, 1], [3, 8, 4], [1, 4, 0]],
+     b"error: leading diagonal block differs from N+; pushout must be an "
+     b"even lattice\n"),
+]
+
+
+@pytest.mark.parametrize("rows,stderr", STRUCTURE_REFUSALS)
+def test_invariants_refuses_a_pushout_that_is_no_gluing(runner, tmp_path,
+                                                        rows, stderr):
+    path = _write_config(tmp_path, {
+        "plus": "3.22_1", "minus": "3.9_10", "theta": "1/4pi",
+        "pushout": rows})
+    result = invoke(runner, "invariants", "--config", path)
+    assert result.exit_code == 4
+    assert result.stderr_bytes == stderr and result.stdout == ""
+
+
 @pytest.mark.parametrize("bad", [3.7, 3.0, "3", True])
 def test_invariants_rejects_non_integer_entries(runner, tmp_path, bad):
     # With 3.7 truncated to 3 this would be the valid 8.11 pushout.

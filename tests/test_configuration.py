@@ -1,20 +1,23 @@
+import copy
 import pickle
 import random
 import re
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_route
-from g2tcs.configuration import (Configuration, ConfigurationError,
+from g2tcs.configuration import (Configuration, ConfigurationError, Gluing,
                                  GluingAngle, _strict_solution,
                                  configuration_angles, d_theta,
                                  feasibility_cone_check, is_pure_angle,
                                  make_configuration, parse_theta,
                                  pushout_from_glue, rank1_pushout,
                                  validate_configuration)
+from g2tcs.search import cross_term_search, rank1_candidate_count
 from g2tcs.exact import int_matmul
 from g2tcs.fixtures import EXAMPLES
 from g2tcs.lattices import GramLattice
@@ -33,6 +36,34 @@ def test_parse_theta():
     for text in ("1/0pi", "pi/0", "-0/0pi"):
         with pytest.raises(ConfigurationError, match="zero denominator"):
             parse_theta(text)
+
+
+def test_every_entry_point_reads_the_angle_with_parse_theta(catalog):
+    """A Fraction of pi is read as its "p/qpi" string: the four entry
+    points agree on both spellings, and refuse an inadmissible Fraction
+    with the same message."""
+    plus, minus = catalog.get("3.22_1"), catalog.get("3.9_10")
+    rows = [list(r) for r in EXAMPLES["8.7"][3]]
+    for text, frac in (("1/4pi", F(1, 4)), ("-1/4pi", F(-1, 4))):
+        assert parse_theta(frac) == parse_theta(text)
+        assert (make_configuration(plus, minus, frac, rows)
+                == make_configuration(plus, minus, text, rows))
+        assert (cross_term_search(plus, minus, frac, 1)
+                == cross_term_search(plus, minus, text, 1))
+        assert rank1_pushout(4, 18, frac) == rank1_pushout(4, 18, text)
+        assert (rank1_candidate_count(catalog, frac)
+                == rank1_candidate_count(catalog, text) > 0)
+    for bad in (F(1, 5), F(1)):
+        calls = (lambda: make_configuration(plus, minus, bad, rows),
+                 lambda: cross_term_search(plus, minus, bad, 1),
+                 lambda: rank1_pushout(4, 18, bad),
+                 lambda: rank1_candidate_count(catalog, bad))
+        for call in calls:
+            with pytest.raises(ConfigurationError) as info:
+                call()
+            assert str(info.value) == (
+                f"angle '{bad.numerator}/{bad.denominator}pi' is not one "
+                f"of the seven admissible fractions of pi")
 
 
 INV, ORD = "involution", "ordinary"
@@ -132,11 +163,88 @@ def test_configuration_refuses_an_angle_decided_for_other_kinds(catalog):
     with pytest.raises(ConfigurationError, match=re.escape(
             "angle decided for blocks (ordinary, ordinary), not "
             "(involution, involution)")):
-        Configuration(plus, minus, GluingAngle(ORD, ORD, F(1, 2)),
-                      GramLattice.from_rows([[2, 0], [0, 4]]))
+        Gluing(plus, minus, GluingAngle(ORD, ORD, F(1, 2)))
+
+
+# Pushouts of 3.22_1 x 3.9_10 at 1/4pi that are not N+ and N- glued by a
+# cross block (example 8.7 is [[2, 3, 1], [3, 8, 4], [1, 4, 0]]).
+STRUCTURE_REFUSALS = [
+    ([[2, 3], [3, 8]], "pushout rank 2 != rho+ + rho- = 3"),
+    ([[2, 3, 1, 0], [3, 8, 4, 0], [1, 4, 0, 0], [0, 0, 0, 2]],
+     "pushout rank 4 != rho+ + rho- = 3"),
+    ([[4, 3, 1], [3, 8, 4], [1, 4, 0]],
+     "leading diagonal block differs from N+"),
+    ([[2, 3, 1], [3, 6, 4], [1, 4, 0]],
+     "trailing diagonal block differs from N-"),
+    ([[4, 3, 1], [3, 6, 4], [1, 4, 0]],
+     "leading diagonal block differs from N+; "
+     "trailing diagonal block differs from N-"),
+    ([[4, 3, 1], [3, 7, 4], [1, 4, 0]],
+     "leading diagonal block differs from N+; "
+     "trailing diagonal block differs from N-; "
+     "pushout must be an even lattice"),
+]
+
+
+@pytest.mark.parametrize("rows,message", STRUCTURE_REFUSALS)
+def test_make_configuration_refuses_a_pushout_that_is_no_gluing(
+        catalog, rows, message):
+    with pytest.raises(ConfigurationError) as info:
+        make_configuration(catalog.get("3.22_1"), catalog.get("3.9_10"),
+                           "1/4pi", rows)
+    assert str(info.value) == message
+
+
+def test_make_configuration_checks_the_angle_then_the_gluing_first(catalog):
+    # A wrong diagonal is reported only once theta and the gluing pass.
+    plus, minus = catalog.get("3.8_1_2"), catalog.get("3.9_10")
+    rows = STRUCTURE_REFUSALS[-1][0]
+    with pytest.raises(ConfigurationError, match="not one of the seven"):
+        make_configuration(plus, minus, "1/5pi", rows)
+    with pytest.raises(ConfigurationError, match="admit no torus flags"):
+        make_configuration(plus, minus, "1/4pi", rows)
+    with pytest.raises(ValueError, match="not an integer"):
+        make_configuration(catalog.get("3.22_1"), minus, "1/4pi",
+                           [[4, 3, 1], [3, 7, 4], [1, 4, 0.5]])
 
 
 # ------------------------------------------------------------------ records
+
+def test_a_configuration_is_its_gluing_and_cross_block(catalog):
+    plus, minus = catalog.get("3.22_3"), catalog.get("3.23_6")
+    angle = GluingAngle(INV, INV, F(1, 4))
+    first, second = Gluing(plus, minus, angle), Gluing(plus, minus, angle)
+    assert first is not second and first == second
+    assert (first.det_plus, first.det_minus) == (6, -12)
+    assert (first.adj_plus, first.adj_minus) == ([[1]], [[2, -4], [-4, 2]])
+    cfg = make_configuration(plus, minus, "1/4pi",
+                             [[6, 3, 3], [3, 2, 4], [3, 4, 2]])
+    assert cfg == Configuration(second, ((3, 3),))
+    assert (cfg.plus, cfg.minus, cfg.angle) == (plus, minus, angle)
+    assert (cfg.rho_plus, cfg.rho_minus) == (1, 2)
+    assert cfg.pushout == GramLattice(((6, 3, 3), (3, 2, 4), (3, 4, 2)))
+    assert cfg != Configuration(first, ((3, -3),))
+    for record, name in ((first, "det_plus"), (first, "adj_minus"),
+                         (first, "angle"), (cfg, "gluing"), (cfg, "cross"),
+                         (cfg, "pushout"), (cfg, "plus"), (cfg, "angle")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_gluings_and_configurations_survive_pickle_and_copy(catalog):
+    cfg = make_configuration(catalog.get("3.22_3"), catalog.get("3.23_6"),
+                             "1/4pi", [[6, 3, 3], [3, 2, 4], [3, 4, 2]])
+    assert validate_configuration(cfg).ok and cfg.pushout  # fill the memo
+    for rebuild in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy,
+                    copy.deepcopy):
+        gluing = rebuild(cfg.gluing)
+        assert type(gluing) is Gluing and gluing == cfg.gluing
+        again = rebuild(cfg)
+        assert type(again) is Configuration and again == cfg
+        assert "_memo" not in vars(again)
+        assert again.pushout == cfg.pushout
+
+
 
 def test_records_are_read_only(catalog, example_configs, example_reports):
     cfg, _expected = example_configs["8.11"]
@@ -173,11 +281,12 @@ def test_validate_accepts_worked_configurations(example_configs):
 
 
 def test_validate_rejects_wrong_diagonal(catalog):
-    cfg = make_configuration(catalog.get("3.22_1"), catalog.get("3.9_10"),
-                             "1/4pi", [[4, 3, 1], [3, 8, 4], [1, 4, 0]])
-    report = validate_configuration(cfg)
-    assert not report.ok
-    assert any("diagonal" in p for p in report.problems)
+    # The diagonal blocks of a configuration are N+ and N- by
+    # construction; the one reader of a full pushout refuses others.
+    with pytest.raises(ConfigurationError, match="^leading diagonal block "
+                       "differs from N\\+$"):
+        make_configuration(catalog.get("3.22_1"), catalog.get("3.9_10"),
+                           "1/4pi", [[4, 3, 1], [3, 8, 4], [1, 4, 0]])
 
 
 def test_validate_rejects_bad_signature(catalog):
@@ -272,9 +381,8 @@ def test_feasibility_witness(example_configs):
         feasible, witness = feasibility_cone_check(cfg)
         assert feasible, name
         assert all(type(x) is int and x > 0 for x in witness), name
-        pencil = cfg.pencil()
-        sign = cfg.angle.epsilon * (1 if pencil.det_minus > 0 else -1)
-        image = int_matmul(pencil.BCt, [[x] for x in witness])
+        sign = cfg.angle.epsilon * (1 if cfg.gluing.det_minus > 0 else -1)
+        image = int_matmul(cfg.pencil().BCt, [[x] for x in witness])
         assert all(sign * x > 0 for (x,) in image), name
 
 
@@ -297,6 +405,31 @@ def test_strict_solution_agrees_with_the_fraction_elimination(rows):
     if t is not None:
         assert all(type(x) is int for x in t)
         assert all(sum(a * b for a, b in zip(r, t)) > 0 for r in rows)
+
+
+def test_strict_solution_on_seeded_systems():
+    """Each witness is primitive and satisfies every row strictly, and
+    each verdict is that of the Fraction elimination."""
+    rng = random.Random(43)
+    for _ in range(5000):
+        k = rng.randint(1, 3)
+        rows = [[rng.randint(-50, 50) for _ in range(k)]
+                for _ in range(rng.randint(1, 8))]
+        t = _strict_solution(rows, k)
+        assert (t is None) == (fraction_route._fourier_motzkin_strict(rows)
+                               is None), rows
+        if t is not None:
+            assert gcd(*t) == 1, rows
+            assert all(sum(a * b for a, b in zip(r, t)) > 0 for r in rows)
+
+
+def test_feasibility_witnesses_are_not_scaled_without_need(example_configs):
+    # The least integer above the lower bounds already works here; the
+    # back-substitution scaled by 2 prod |c| gave [512, 32, 1] for 8.6.
+    got = {name: feasibility_cone_check(example_configs[name][0])
+           for name in ("8.1", "8.4", "8.6")}
+    assert got == {"8.1": (True, [1, 1]), "8.4": (True, [1, 2]),
+                   "8.6": (True, [1, 1, 1])}
 
 
 def test_feasibility_constructs_no_fraction(catalog, monkeypatch):

@@ -6,6 +6,7 @@ screens each block with ``Fraction`` matrix products.  It is kept here as
 the oracle for ``cross_term_search``.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -14,14 +15,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_route
-from g2tcs import search
+from g2tcs import configuration, search
 from g2tcs.catalog import load_catalog
-from g2tcs.configuration import (COS_SQUARED, ConfigurationError, d_theta,
-                                 feasibility_cone_check, make_configuration,
-                                 parse_theta, validate_configuration)
-from g2tcs.exact import RationalMatrix, int_det
+from g2tcs.configuration import (COS_SQUARED, Configuration,
+                                 ConfigurationError, Gluing, GluingAngle,
+                                 Pencil, d_theta, feasibility_cone_check,
+                                 make_configuration, parse_theta,
+                                 validate_configuration)
+from g2tcs.exact import (RationalMatrix, adjugate, int_charpoly, int_det,
+                         int_matmul, integer_roots, transpose)
 from g2tcs.fixtures import EXAMPLES
 from g2tcs.invariants import UnsupportedAngle, full_report
+from g2tcs.lattices import GramLattice
 from g2tcs.search import (MatchCandidate, _canonical_gram, _CrossScreen,
                           _gram_permutations, _integer_roots,
                           cross_term_search)
@@ -58,6 +63,13 @@ def fraction_pure_on_both_sides(plus, minus, cos2, cross):
 def fraction_singular(plus, minus, cos2, cross):
     target = RationalMatrix.identity(plus.rank).scaled(cos2)
     return (_composition(plus, minus, cross) - target).det() == 0
+
+
+def screen_for(plus, minus, cos2):
+    """The screen of a block pair at any cos^2 value; the search reads
+    det G- and adj G- off the pair's Gluing instead."""
+    return _CrossScreen(plus.N.gram, int_det(minus.N.gram),
+                        adjugate(minus.N.gram), cos2)
 
 
 def integer_pure(screen, cross):
@@ -175,7 +187,7 @@ def screen_inputs(draw):
 @settings(max_examples=150, deadline=None)
 def test_integer_predicates_match_fraction_screen(inputs):
     plus, minus, cos2, cross = inputs
-    screen = _CrossScreen(plus.N.gram, minus.N.gram, cos2)
+    screen = screen_for(plus, minus, cos2)
     assert integer_pure(screen, cross) == \
         fraction_pure(plus, minus, cos2, cross)
     assert screen.is_singular(cross) == \
@@ -192,7 +204,7 @@ def test_worked_cross_blocks_pass_screen(name):
     plus, minus = _CATALOG.get(plus_id), _CATALOG.get(minus_id)
     cos2 = COS_SQUARED[parse_theta(theta)[0]]
     cross = tuple(tuple(row[plus.rank:]) for row in rows[:plus.rank])
-    screen = _CrossScreen(plus.N.gram, minus.N.gram, cos2)
+    screen = screen_for(plus, minus, cos2)
     assert screen.is_singular(cross)
     assert integer_pure(screen, cross) == \
         fraction_pure(plus, minus, cos2, cross)
@@ -231,16 +243,23 @@ def test_pure_search_of_unequal_ranks_enumerates_nothing(
                           "1/4pi", 4, pure=True)
 
 
-def test_screen_rejects_degenerate_block():
-    with pytest.raises(ValueError):
-        _CrossScreen([[2]], [[2, 2], [2, 2]], Fraction(1, 2))
+def test_screen_rejects_degenerate_block(catalog):
+    """The pair's Gluing makes the nondegeneracy check of the screen and
+    of the pencil, once, before the search enumerates."""
+    plus = catalog.get("3.22_1")
+    minus = catalog.get("3.9_10")._replace(
+        N=GramLattice.from_rows([[2, 2], [2, 2]]))
+    with pytest.raises(ConfigurationError, match="nondegenerate"):
+        Gluing(plus, minus, GluingAngle(plus.kind, minus.kind,
+                                        Fraction(1, 4)))
+    with pytest.raises(ConfigurationError, match="nondegenerate"):
+        cross_term_search(plus, minus, "1/4pi", 1)
 
 
 # ------------------------------------- general screen vs per-block oracle
 
 def _screen(plus, minus, theta):
-    return _CrossScreen(plus.N.gram, minus.N.gram,
-                        COS_SQUARED[parse_theta(theta)[0]])
+    return screen_for(plus, minus, COS_SQUARED[parse_theta(theta)[0]])
 
 
 def _singular_stream(screen, plus, minus, bound):
@@ -308,31 +327,87 @@ def screen_boxes(draw):
 @settings(max_examples=60, deadline=None)
 def test_general_screen_matches_the_box_filter(box):
     plus, minus, cos2, bound = box
-    screen = _CrossScreen(plus.N.gram, minus.N.gram, cos2)
+    screen = screen_for(plus, minus, cos2)
     assert list(screen.blocks(bound, pure=False)) == \
         _singular_stream(screen, plus, minus, bound)
 
 
 def test_general_search_takes_no_determinant_per_block(catalog,
                                                        monkeypatch):
-    """int_det runs twice for det G+- and then once per head (the rows
-    but the last), never once per block of the box."""
-    calls = []
+    """One search takes det and adj of each block Gram once, for the
+    pair's Gluing, however many blocks it screens; after that int_det and
+    adjugate run once per head (the rows but the last), never once per
+    block of the box."""
+    calls = Counter()
+    for module in (configuration, search):
+        for fn in (int_det, adjugate):
+            def counting(matrix, fn=fn):
+                calls[fn.__name__, tuple(map(tuple, matrix))] += 1
+                return fn(matrix)
+            monkeypatch.setattr(module, fn.__name__, counting)
+    screened = []
 
-    def counting_det(matrix):
-        calls.append(len(matrix))
-        return int_det(matrix)
+    def validating(cfg):
+        screened.append(cfg.cross)
+        return validate_configuration(cfg)
 
-    monkeypatch.setattr(search, "int_det", counting_det)
-    hits = cross_term_search(catalog.get("5.15_2"), catalog.get("3.9_27"),
-                             "1/4pi", 3)
-    assert hits
-    assert len(calls) <= 2 + 7 ** 2  # 2x2 box at bound 3: 49 heads
-    calls.clear()
-    hits = cross_term_search(catalog.get("3.22_1"), catalog.get("3.9_10"),
-                             "1/4pi", 4)
-    assert hits
-    assert len(calls) == 2  # rank-1 plus side: one empty head
+    monkeypatch.setattr(search, "validate_configuration", validating)
+    # 2x2 box at bound 3: 49 heads; a rank-1 plus side has one empty head.
+    for plus_id, minus_id, bound, heads in (("5.15_2", "3.9_27", 3, 7 ** 2),
+                                            ("3.22_1", "3.9_10", 4, 1)):
+        plus, minus = catalog.get(plus_id), catalog.get(minus_id)
+        calls.clear()
+        screened.clear()
+        assert cross_term_search(plus, minus, "1/4pi", bound)
+        grams = {plus.N.gram, minus.N.gram}
+        assert len(grams) == 2 and len(screened) > 2
+        assert {key: n for key, n in calls.items() if key[1] in grams} == {
+            (name, gram): 1 for name in ("int_det", "adjugate")
+            for gram in grams}
+        per_head = [key for key in calls.elements() if key[1] not in grams]
+        assert len(per_head) <= 2 * heads
+
+
+def pencil_oracle(plus, minus, rows):
+    """The pencil of ``Pencil``'s docstring from int_det and adjugate of
+    the block Grams and the cross block of the full pushout rows."""
+    Gp, Gm = plus.N.gram, minus.N.gram
+    C = [list(row[plus.rank:]) for row in rows[:plus.rank]]
+    s = int_det(Gp) * int_det(Gm)
+    AC = int_matmul(adjugate(Gp), C)
+    BCt = int_matmul(adjugate(Gm), transpose(C))
+    N = (int_matmul(AC, BCt), int_matmul(BCt, AC))
+    roots, cofactor = integer_roots(int_charpoly(N[0]), min(0, s), max(0, s))
+    return Pencil(s, AC, BCt, N, tuple(sorted(roots, key=lambda r: r[0] * s)),
+                  tuple(cofactor))
+
+
+def test_pencil_of_the_gluing_matches_a_per_block_factorisation(catalog):
+    """The pencil read off the gluing's det and adj equals the one that
+    factors the blocks again, on the worked examples and on every block
+    that the screens of the boxes above pass, as the search builds them."""
+    for plus_id, minus_id, theta, rows, _expected in EXAMPLES.values():
+        plus, minus = catalog.get(plus_id), catalog.get(minus_id)
+        cfg = make_configuration(plus, minus, theta, [list(r) for r in rows])
+        assert cfg.pencil() == pencil_oracle(plus, minus, rows)
+    boxes = {case[:4] for case in ORACLE_CASES + STREAM_CASES}
+    seen = 0
+    for plus_id, minus_id, theta, bound in sorted(boxes):
+        plus, minus = catalog.get(plus_id), catalog.get(minus_id)
+        try:
+            angle = GluingAngle(plus.kind, minus.kind, *parse_theta(theta))
+        except ConfigurationError:  # 3.10 x 3.22_1: no search gets here
+            continue
+        gluing = Gluing(plus, minus, angle)
+        screen = _screen(plus, minus, theta)
+        for pure in (False, True):
+            for cross in screen.blocks(bound, pure):
+                cfg = Configuration(gluing, cross)
+                rows = _pushout_rows(plus, minus, cross)
+                assert cfg.pushout.gram == tuple(map(tuple, rows))
+                assert cfg.pencil() == pencil_oracle(plus, minus, rows)
+                seen += 1
+    assert seen > 1000
 
 
 # ------------------------------------------------- the quadratic root step

@@ -82,6 +82,28 @@ def test_every_src_definition_has_a_caller():
     assert not unused, "no caller: " + ", ".join(unused)
 
 
+def test_every_traced_name_resolves():
+    """``perfbench/run.py --trace 1`` wraps each name of ``TRACED`` in
+    ``perfbench/spans.py`` where ``Tracer.install`` looks it up: a plain
+    name on ``g2tcs.<layer>``, a dotted one in its class's ``__dict__``. A
+    name that a refactor moves ends that run with AttributeError or
+    KeyError."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["TRACED"])
+    assert "configuration" in traced and "search" in traced
+    for layer, names in traced.items():
+        module = importlib.import_module(f"g2tcs.{layer}")
+        for name in names:
+            if "." in name:
+                cls_name, attr = name.split(".")
+                assert attr in getattr(module, cls_name).__dict__, name
+            else:
+                assert callable(getattr(module, name)), name
+
+
 _STARTUP_CODE = """
 import json, sys
 before = set(sys.modules)

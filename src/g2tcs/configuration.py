@@ -248,7 +248,7 @@ class Configuration(_ConfigurationFields):
     """A gluing configuration: a ``Gluing`` and its cross block.
 
     ``cross`` holds the rho+ x rho- pairings C of the bases of N+ and N-
-    as int tuples (``make_configuration`` checks the shape). The pushout,
+    as tuples; the constructor refuses another shape. The pushout,
     the (possibly degenerate) Gram matrix of both bases, and the other
     derived data (inertia, the integer pencil with its eigenspaces, the
     validation report, the boundary presentation) are computed once, on
@@ -263,6 +263,12 @@ class Configuration(_ConfigurationFields):
     angle = property(attrgetter("gluing.angle"))
     rho_plus = property(attrgetter("gluing.plus.rank"))
     rho_minus = property(attrgetter("gluing.minus.rank"))
+
+    def __new__(cls, gluing: Gluing, cross: Sequence[Sequence[int]]):
+        cross = tuple(map(tuple, cross))
+        if list(map(len, cross)) != [gluing.minus.rank] * gluing.plus.rank:
+            raise ConfigurationError("cross block is not rho+ x rho-")
+        return super().__new__(cls, gluing, cross)
 
     def __reduce__(self):  # copy and pickle leave the memo out
         return type(self), tuple(self)
@@ -335,21 +341,21 @@ def make_configuration(plus: BuildingBlock, minus: BuildingBlock,
     angle = GluingAngle(plus.kind, minus.kind, theta,
                         parsed if orientation is None else orientation)
     gluing = Gluing(plus, minus, angle)
-    W = GramLattice.from_rows(pushout_rows).gram
+    W = GramLattice.from_rows(pushout_rows)
     rp, rm = plus.rank, minus.rank
-    if len(W) != rp + rm:
+    if W.rank != rp + rm:
         raise ConfigurationError(
-            f"pushout rank {len(W)} != rho+ + rho- = {rp + rm}")
+            f"pushout rank {W.rank} != rho+ + rho- = {rp + rm}")
     problems = []
-    if [row[:rp] for row in W[:rp]] != list(plus.N.gram):
+    if [row[:rp] for row in W.gram[:rp]] != list(plus.N.gram):
         problems.append("leading diagonal block differs from N+")
-    if [row[rp:] for row in W[rp:]] != list(minus.N.gram):
+    if [row[rp:] for row in W.gram[rp:]] != list(minus.N.gram):
         problems.append("trailing diagonal block differs from N-")
-    if any(W[i][i] % 2 for i in range(rp + rm)):
+    if not W.is_even():
         problems.append("pushout must be an even lattice")
     if problems:
         raise ConfigurationError("; ".join(problems))
-    return Configuration(gluing, tuple(row[rp:] for row in W[:rp]))
+    return Configuration(gluing, [row[rp:] for row in W.gram[:rp]])
 
 
 def pushout_from_glue(base_gram: Sequence[Sequence],
@@ -427,8 +433,8 @@ def validate_configuration(cfg: Configuration) -> ValidationReport:
 
     Verifies signature (2, rk-2) of the nondegenerate quotient (n+ = 2 in
     the pushout's inertia) and eigenvalues of pi+ pi- inside [0, 1], and
-    flags (does not fail) rk = n+ + n- > 11. The diagonal blocks and
-    evenness hold by construction.
+    flags (does not fail) rk = n+ + n- > 11. The shape, the diagonal blocks
+    and evenness hold by construction.
     """
     problems: List[str] = []
     flags: List[str] = []

@@ -186,15 +186,6 @@ STRUCTURE_REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("rows,message", STRUCTURE_REFUSALS)
-def test_make_configuration_refuses_a_pushout_that_is_no_gluing(
-        catalog, rows, message):
-    with pytest.raises(ConfigurationError) as info:
-        make_configuration(catalog.get("3.22_1"), catalog.get("3.9_10"),
-                           "1/4pi", rows)
-    assert str(info.value) == message
-
-
 def test_make_configuration_checks_the_angle_then_the_gluing_first(catalog):
     # A wrong diagonal is reported only once theta and the gluing pass.
     plus, minus = catalog.get("3.8_1_2"), catalog.get("3.9_10")
@@ -224,6 +215,11 @@ def test_a_configuration_is_its_gluing_and_cross_block(catalog):
     assert (cfg.rho_plus, cfg.rho_minus) == (1, 2)
     assert cfg.pushout == GramLattice(((6, 3, 3), (3, 2, 4), (3, 4, 2)))
     assert cfg != Configuration(first, ((3, -3),))
+    assert Configuration(first, [[3, 3]]) == cfg  # rows stored as tuples
+    for cross in ((), ((3,), (3,)), ((3, 3, 0),), ((3, 3), (0, 0))):
+        with pytest.raises(ConfigurationError, match="^cross block is not "
+                           "rho\\+ x rho-$"):
+            Configuration(first, cross)
     for record, name in ((first, "det_plus"), (first, "adj_minus"),
                          (first, "angle"), (cfg, "gluing"), (cfg, "cross"),
                          (cfg, "pushout"), (cfg, "plus"), (cfg, "angle")):
@@ -281,12 +277,14 @@ def test_validate_accepts_worked_configurations(example_configs):
 
 
 def test_validate_rejects_wrong_diagonal(catalog):
-    # The diagonal blocks of a configuration are N+ and N- by
-    # construction; the one reader of a full pushout refuses others.
-    with pytest.raises(ConfigurationError, match="^leading diagonal block "
-                       "differs from N\\+$"):
-        make_configuration(catalog.get("3.22_1"), catalog.get("3.9_10"),
-                           "1/4pi", [[4, 3, 1], [3, 8, 4], [1, 4, 0]])
+    # A configuration has rank rho+ + rho- and the diagonal blocks N+ and
+    # N- by construction; the one reader of a full pushout refuses a Gram
+    # with another size or other diagonal blocks, naming each problem.
+    for rows, message in STRUCTURE_REFUSALS:
+        with pytest.raises(ConfigurationError) as info:
+            make_configuration(catalog.get("3.22_1"), catalog.get("3.9_10"),
+                               "1/4pi", rows)
+        assert str(info.value) == message
 
 
 def test_validate_rejects_bad_signature(catalog):

@@ -620,26 +620,28 @@ def rank1_pushout(n_plus: int, n_minus: int,
     square. For pi/4 the unique decomposition n+ = 2 m q+^2,
     n- = m q-^2 with coprime q± is returned as well.
     """
-    theta, _orientation = parse_theta(theta)
+    theta = parse_theta(theta)[0]
+    return rank1_pushout_at(n_plus, n_minus, COS_SQUARED[theta],
+                            1 if theta < Fraction(1, 2) else -1)
+
+
+def rank1_pushout_at(n_plus: int, n_minus: int, cos_squared: Fraction,
+                     sign: int) -> Optional[Rank1Pushout]:
+    """``rank1_pushout`` in integers, for cos^2(theta) = num/den and the
+    sign of cos(theta): num n+ n- / den must be a square w^2."""
     if n_plus <= 0 or n_minus <= 0 or n_plus % 2 or n_minus % 2:
         raise ValueError("generator squares must be positive even")
-    c2 = COS_SQUARED[theta]
-    eps = 1 if theta < Fraction(1, 2) else -1
-    if c2 == 0:
-        return Rank1Pushout(((n_plus, 0), (0, n_minus)), 0)
-    w2 = c2 * n_plus * n_minus
-    if w2.denominator != 1:
+    num, den = cos_squared.numerator, cos_squared.denominator
+    w2, rem = divmod(num * n_plus * n_minus, den)
+    w = isqrt(w2)
+    if rem or w * w != w2:
         return None
-    w = isqrt(int(w2))
-    if w * w != int(w2):
-        return None
-    out = Rank1Pushout(((n_plus, eps * w), (eps * w, n_minus)), w)
-    if c2 == Fraction(1, 2):
-        s, t = n_plus // 2, n_minus
-        m = gcd(s, t)
-        out = Rank1Pushout(out.gram, w, m=m, q_plus=isqrt(s // m),
-                           q_minus=isqrt(t // m))
-    return out
+    gram = ((n_plus, sign * w), (sign * w, n_minus))
+    if den != 2:
+        return Rank1Pushout(gram, w)
+    m = gcd(n_plus // 2, n_minus)
+    return Rank1Pushout(gram, w, m=m, q_plus=isqrt(n_plus // 2 // m),
+                        q_minus=isqrt(n_minus // m))
 
 
 # ------------------------------------------------------------- feasibility

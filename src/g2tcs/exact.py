@@ -7,13 +7,13 @@ the rest of the package:
   exact Gaussian elimination (inverse, determinant, nullspace, rank) and a
   Faddeev–LeVerrier characteristic polynomial.
 * Integer matrices — Smith normal form with unimodular transforms
-  ``D = P A Q`` (and ``P^-1``), a canonical Hermite row basis for integer row
-  lattices, a fraction-free (Bareiss) determinant, the adjugate and an
-  integer characteristic polynomial.
+  ``D = P A Q`` (and ``P^-1``) for cokernels, Hermite row bases, kernels by
+  column Hermite elimination, a fraction-free (Bareiss) determinant, the
+  adjugate and an integer characteristic polynomial.
 * Lattice utilities — intersections of integer row lattices and clearing
   the denominators of rational rows.
 * Polynomial helpers — integer roots in an interval, exact rational-root
-  extraction, Sturm root counting and a splitter for
+  extraction, Sturm root counting in integers and a splitter for
   palindromic products of factors ``x^2 - t x + 1`` (the shape produced by
   form-preserving involution products).
 
@@ -23,7 +23,7 @@ Everything is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 IntMatrix = List[List[int]]
@@ -441,14 +441,27 @@ def hermite_row_basis(rows: IntMatrix) -> IntMatrix:
 
 
 def integer_kernel(A: IntMatrix) -> List[List[int]]:
-    """Saturated basis of {x in Z^n : A x = 0} (as a list of vectors)."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    D, _P, Q, _Pinv = smith_normal_form(A)
-    r = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
-    return [[Q[i][j] for i in range(n)] for j in range(r, n)]
+    """Saturated basis of {x in Z^n : A x = 0} (as a list of vectors): the
+    columns of U under the zero columns of the column echelon form A U, U
+    unimodular and tracked alone (Cohen 1993, section 2.4.3)."""
+    m, n = len(A), len(A[0]) if A else 0
+    # Row j: column j of A U, then column j of U (U = I at the start).
+    rows = [list(col) + [int(i == j) for i in range(n)]
+            for j, col in enumerate(zip(*A))]
+    r = 0  # rows[:r] hold the pivots of the echelon form
+    for c in range(m):
+        idx = [i for i in range(r, n) if rows[i][c]]
+        while len(idx) > 1:
+            p = rows[min(idx, key=lambda i: abs(rows[i][c]))]
+            for i in idx:
+                q = rows[i][c] // p[c]
+                if rows[i] is not p:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], p)]
+            idx = [i for i in idx if rows[i][c]]
+        if idx:
+            rows[r], rows[idx[0]] = rows[idx[0]], rows[r]
+            r += 1
+    return [row[m:] for row in rows[r:]]
 
 
 def lattice_intersection(rows_a: IntMatrix, rows_b: IntMatrix) -> IntMatrix:
@@ -638,29 +651,29 @@ def palindromic_quadratic_split(
     return sorted(merged.items()), coeffs
 
 
-def sturm_count_roots(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of the polynomial in the interval (a, b]."""
-    p = [Fraction(c) for c in coeffs]
+def sturm_count_roots(coeffs: Sequence[int], a: int, b: int) -> int:
+    """Number of distinct real roots in (a, b] of an integer polynomial
+    (highest degree first), for integers a <= b. Each member of the Sturm
+    chain is the negated pseudo-remainder of the two before it, scaled by
+    |lc|^k of the divisor, a positive factor, and divided by its content."""
+    p = list(coeffs)
     while p and p[0] == 0:
         p.pop(0)
-    if len(p) <= 1:
-        return 0
-    dp = [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
-    chain = [p, dp]
-    while True:
-        _, rem = poly_divmod(chain[-2], chain[-1])
+    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while chain[-1]:
+        rem, div = chain[-2], chain[-1]
+        lead = abs(div[0])
+        while len(rem) >= len(div):
+            f = rem[0] * lead // div[0]  # the sign of div[0] times rem[0]
+            rem = ([lead * x - f * y for x, y in zip(rem[1:], div[1:])]
+                   + [lead * x for x in rem[len(div):]])
         while rem and rem[0] == 0:
             rem.pop(0)
-        if not rem:
-            break
-        chain.append([-c for c in rem])
+        g = gcd(*rem)  # 0 for the empty remainder, which ends the chain
+        chain.append([-(c // g) for c in rem])
 
-    def sign_changes(x: Fraction) -> int:
-        signs = []
-        for q in chain:
-            v = poly_eval(q, x)
-            if v != 0:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    def sign_changes(x: int) -> int:
+        values = [v for v in (poly_eval(q, x) for q in chain) if v]
+        return sum((u > 0) != (v > 0) for u, v in zip(values, values[1:]))
 
     return sign_changes(a) - sign_changes(b)

@@ -1,7 +1,8 @@
 """Enumeration drivers that discover admissible matchings over the catalog.
 
 Two closed-form searches cover rank-1 x rank-1 gluings (where the cross
-term is determined up to sign by the generator squares).  For higher ranks
+term is determined up to sign by the generator squares, an integer test
+per pair; only a match builds a ``Gluing`` and report).  For higher ranks
 a bounded search screens integer cross-blocks exactly, building them row by
 row for pure angles and otherwise solving an integer quadratic for the last
 entry of each block.  Every search decides the gluing of its pair once
@@ -26,7 +27,7 @@ from .configuration import (
     d_theta,
     feasibility_cone_check,
     parse_theta,
-    rank1_pushout,
+    rank1_pushout_at,
     validate_configuration,
 )
 from .exact import adjugate, int_det
@@ -53,35 +54,33 @@ class MatchCandidate(NamedTuple):
     report: InvariantReport
 
 
-def _rank1_pairs(catalog: Catalog, theta: Fraction
-                 ) -> List[Tuple[BuildingBlock, BuildingBlock]]:
+def _rank1_pairs(catalog: Catalog, theta: Fraction, orientation: int = 1
+                 ) -> List[Tuple[BuildingBlock, BuildingBlock, GluingAngle]]:
     """Ordered rank-1 block pairs scanned at the angle theta (a fraction of
-    pi): the pairs whose gluing decision is simply connected, less those
-    with a block in its ordinary role that is not ``ordinary_ok``."""
+    pi), each with its gluing decision: the pairs whose decision is simply
+    connected, less those with a block in its ordinary role that is not
+    ``ordinary_ok``. One ``GluingAngle`` is decided per pair of kinds."""
     rank1 = [b for b in catalog.blocks if b.rank == 1]
-    roles = {}  # the side roles of each pair of kinds the scan admits
+    angles = {}  # the decided angle of each pair of kinds the scan admits
     for kinds in product({b.kind for b in rank1}, repeat=2):
         try:
-            angle = GluingAngle(*kinds, abs(theta))
+            angle = GluingAngle(*kinds, theta, orientation)
         except ConfigurationError:
             continue
         if angle.pi1 == SIMPLY_CONNECTED:
-            roles[kinds] = angle.roles
-    return [pair for pair in product(rank1, repeat=2)
-            if (pair[0].kind, pair[1].kind) in roles and all(
-                role == INVOLUTION or block.ordinary_ok for block, role
-                in zip(pair, roles[pair[0].kind, pair[1].kind]))]
+            angles[kinds] = angle
+    return [(plus, minus, angle) for plus, minus in product(rank1, repeat=2)
+            if (angle := angles.get((plus.kind, minus.kind))) is not None
+            and all(role == INVOLUTION or block.ordinary_ok for block, role
+                    in zip((plus, minus), angle.roles))]
 
 
-def rank1_candidate(plus: BuildingBlock, minus: BuildingBlock,
-                    theta_text: str) -> Optional[MatchCandidate]:
-    """The rank-1 pushout match of one ordered pair at an angle such as
-    "1/4pi" or "-1/6pi", with its invariants, or None if the generator
-    squares admit no integral cross term. The gluing decision comes first:
-    kinds without torus flags raise ConfigurationError either way."""
-    theta, orientation = parse_theta(theta_text)
-    angle = GluingAngle(plus.kind, minus.kind, theta, orientation)
-    push = rank1_pushout(plus.N.gram[0][0], minus.N.gram[0][0], theta)
+def _rank1_match(plus: BuildingBlock, minus: BuildingBlock,
+                 angle: GluingAngle) -> Optional[MatchCandidate]:
+    """The match of one decided rank-1 pair, or None if the integer closed
+    form finds no cross term; only a match builds a Gluing and report."""
+    push = rank1_pushout_at(plus.N.gram[0][0], minus.N.gram[0][0],
+                            angle.cos_squared, angle.epsilon)
     if push is None:
         return None
     report = full_report(Configuration(Gluing(plus, minus, angle),
@@ -92,6 +91,16 @@ def rank1_candidate(plus: BuildingBlock, minus: BuildingBlock,
                           else (push.m, push.q_plus, push.q_minus))
 
 
+def rank1_candidate(plus: BuildingBlock, minus: BuildingBlock,
+                    theta_text: str) -> Optional[MatchCandidate]:
+    """The rank-1 pushout match of one ordered pair at an angle such as
+    "1/4pi" or "-1/6pi", with its invariants, or None if the generator
+    squares admit no integral cross term. The gluing decision comes first:
+    kinds without torus flags raise ConfigurationError either way."""
+    return _rank1_match(plus, minus, GluingAngle(
+        plus.kind, minus.kind, *parse_theta(theta_text)))
+
+
 def rank1_candidate_count(catalog: Catalog, theta) -> int:
     """Number of ordered rank-1 block pairs scanned at the given angle."""
     return len(_rank1_pairs(catalog, parse_theta(theta)[0]))
@@ -99,10 +108,9 @@ def rank1_candidate_count(catalog: Catalog, theta) -> int:
 
 def _rank1_search(catalog: Catalog, theta_text: str) -> List[MatchCandidate]:
     """The matches of every scanned rank-1 pair, sorted by
-    (b3, plus_id, minus_id)."""
-    theta, _ = parse_theta(theta_text)
-    found = [rank1_candidate(plus, minus, theta_text)
-             for plus, minus in _rank1_pairs(catalog, theta)]
+    (b3, plus_id, minus_id); theta is parsed once per scan."""
+    found = [_rank1_match(*pair) for pair
+             in _rank1_pairs(catalog, *parse_theta(theta_text))]
     return sorted((c for c in found if c is not None),
                   key=lambda c: (c.report.b3, c.plus_id, c.minus_id))
 

@@ -2,11 +2,11 @@
 
 Everything here works in ``RationalMatrix`` and ``Fraction`` arithmetic:
 the side compositions pi± pi∓ with their Faddeev–LeVerrier charpoly, its
-rational roots and the Sturm check of [0, 1], eigenspaces as nullspaces,
-the Fourier–Motzkin feasibility solve with midpoints, the glue pushout,
-and the Fraction versions of the boundary matrix, the pure-angle torsion,
-the discriminant pairing and the signature. ``routes_agree`` compares
-each of them with what the package computes, value for value or
+rational roots, the Sturm chain and its check of [0, 1], eigenspaces as
+nullspaces, the Fourier–Motzkin feasibility solve with midpoints, the glue
+pushout, and the Fraction versions of the boundary matrix, the pure-angle
+torsion, the discriminant pairing and the signature. ``routes_agree``
+compares each of them with what the package computes, value for value or
 exception type for exception type.
 """
 
@@ -20,8 +20,8 @@ from g2tcs.configuration import (ANGLE_PI, ANGLE_ZERO, AngleSpectrum,
                                  is_pure_angle, validate_configuration)
 from g2tcs.exact import (RationalMatrix, clear_denominators,
                          hermite_row_basis, int_charpoly,
-                         lattice_intersection, poly_divmod,
-                         rational_roots, sturm_count_roots)
+                         lattice_intersection, poly_divmod, poly_eval,
+                         rational_roots)
 from g2tcs.invariants import (PureTorsion, UnsupportedAngle, boundary_data,
                               pure_angle_torsion)
 from g2tcs.lattices import (DiscriminantForm, FiniteAbelianGroup,
@@ -142,6 +142,35 @@ def _square_free(p):
         a, b = b, rem
     q = poly_divmod(p, a)[0]
     return [c / q[0] for c in q]
+
+
+def sturm_count_roots(coeffs, a, b) -> int:
+    """Number of distinct real roots of a rational polynomial in (a, b]:
+    the Sturm chain of negated remainders, in Fractions."""
+    p = [F(c) for c in coeffs]
+    while p and p[0] == 0:
+        p.pop(0)
+    if len(p) <= 1:
+        return 0
+    dp = [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+    chain = [p, dp]
+    while True:
+        _, rem = poly_divmod(chain[-2], chain[-1])
+        while rem and rem[0] == 0:
+            rem.pop(0)
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def sign_changes(x) -> int:
+        signs = []
+        for q in chain:
+            v = poly_eval(q, x)
+            if v != 0:
+                signs.append(1 if v > 0 else -1)
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return sign_changes(a) - sign_changes(b)
 
 
 def in_unit_interval(p) -> bool:

@@ -365,8 +365,11 @@ def test_rank1_pushout_no_match():
 
 
 def test_rank1_pushout_rejects_odd():
-    with pytest.raises(ValueError):
-        rank1_pushout(3, 4, "1/4pi")
+    # Odd and non-positive squares, at a match-free angle as well.
+    for squares in ((3, 4), (4, 3), (0, 4), (4, 0), (-2, 4), (4, -2)):
+        for theta in ("1/4pi", "1/6pi", "1/2pi"):
+            with pytest.raises(ValueError, match="positive even"):
+                rank1_pushout(*squares, theta)
 
 
 # -------------------------------------------------------------- feasibility

@@ -1,12 +1,15 @@
 from fractions import Fraction as F
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_route
 from fraction_route import mul_vector
 from g2tcs.exact import (RationalMatrix, hermite_row_basis, int_det,
-                         integer_kernel, lattice_intersection,
+                         int_matmul, integer_kernel, lattice_intersection,
                          palindromic_quadratic_split, poly_eval,
                          rational_roots, smith_normal_form,
                          sturm_count_roots, xgcd)
@@ -102,6 +105,52 @@ def test_integer_kernel_annihilates(A):
     assert len(kern) == len(A[0]) - M.rank()
 
 
+def smith_kernel(A):
+    """The kernel read off the Smith form D = P A Q: the columns of Q past
+    the nonzero diagonal."""
+    n = len(A[0])
+    D, _P, Q, _Pinv = smith_normal_form(A)
+    r = sum(1 for i in range(min(len(A), n)) if D[i][i])
+    return [[Q[i][j] for i in range(n)] for j in range(r, n)]
+
+
+# Wide and tall matrices with zero rows and columns, some rank-deficient
+# (a row that is a combination of the others).
+sparse_ints = st.one_of(st.just(0), ints)
+kernel_matrix = st.integers(1, 6).flatmap(
+    lambda m: st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(sparse_ints, min_size=n, max_size=n),
+                     min_size=m, max_size=m),
+            st.lists(st.integers(-2, 2), min_size=m, max_size=m))))
+
+
+@given(kernel_matrix, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_spans_the_smith_kernel(data, dependent):
+    A, combo = data
+    if dependent:
+        A = A + [[sum(c * row[j] for c, row in zip(combo, A))
+                  for j in range(len(A[0]))]]
+    kern = integer_kernel(A)
+    assert hermite_row_basis(kern) == hermite_row_basis(smith_kernel(A))
+
+
+def test_integer_kernel_entries_stay_small():
+    # A seeded symmetric 22x22 matrix B^T S B of rank 20 with entries of
+    # 10 bits: the Smith route's kernel has entries of 249 bits here, the
+    # echelon kernel of 33 and the same Hermite basis.
+    rng = random.Random(0)
+    B = [[rng.randint(-3, 3) for _ in range(22)] for _ in range(20)]
+    S = [[rng.randint(-3, 3) for _ in range(20)] for _ in range(20)]
+    S = [[S[i][j] + S[j][i] for j in range(20)] for i in range(20)]
+    A = int_matmul(int_matmul(list(map(list, zip(*B))), S), B)
+    kern = integer_kernel(A)
+    assert len(kern) == 2
+    assert max(abs(x).bit_length() for v in kern for x in v) <= 48
+    assert hermite_row_basis(kern) == hermite_row_basis(smith_kernel(A))
+
+
 def solve_integer_columns(A, b):
     """Integer solution x of A x = b (columns of A generate the image), or
     None: b is solved through the Smith form D = P A Q, one quotient
@@ -158,10 +207,39 @@ def test_xgcd(a, b):
 
 def test_sturm_counts_distinct_roots_half_open():
     # (x-1)(x-2)^2 has distinct roots {1, 2}
-    p = [F(1), F(-5), F(8), F(-4)]
-    assert sturm_count_roots(p, F(0), F(3)) == 2
-    assert sturm_count_roots(p, F(1), F(3)) == 1  # (1, 3] excludes 1
-    assert sturm_count_roots(p, F(3), F(10)) == 0
+    p = [1, -5, 8, -4]
+    assert sturm_count_roots(p, 0, 3) == 2
+    assert sturm_count_roots(p, 1, 3) == 1  # (1, 3] excludes 1
+    assert sturm_count_roots(p, 3, 10) == 0
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)),
+                max_size=4),
+       st.lists(sparse_ints, min_size=1, max_size=6),
+       st.integers(-8, 8), st.integers(0, 12))
+@example([], [-1, 0, 0, 2, -3], -7, 9)
+@settings(max_examples=300, deadline=None)
+def test_integer_sturm_counts_match_the_fraction_chain(roots, rest, a, width):
+    """Integer polynomials with repeated integer roots times a sparse
+    factor: the integer chain counts as the Fraction chain does, also
+    with an endpoint at a root. Sparse factors make remainders drop by
+    two degrees, where a negative leading coefficient raised to an odd
+    power would flip a sign (the example)."""
+    p = rest
+    for root, mult in roots:
+        for _ in range(mult):
+            p = _poly_mul(p, [1, -root])
+    b = a + width
+    assert sturm_count_roots(p, a, b) == \
+        fraction_route.sturm_count_roots(p, F(a), F(b))
 
 
 def test_rational_roots():

@@ -3,6 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 import g2tcs.configuration
+import g2tcs.exact
+import g2tcs.invariants
+import g2tcs.lattices
 from g2tcs.configuration import make_configuration, validate_configuration
 from g2tcs.fixtures import EXAMPLES
 from g2tcs.invariants import (UnsupportedAngle, betti, compare_2connected,
@@ -22,6 +25,41 @@ def test_full_report_matches_expected(example_reports):
         assert report.pi1 == "simply_connected", name
         assert report.p_torsion_clean, name
         assert report.nu == (nb + 24) % 48, name
+
+
+def test_full_report_takes_smith_forms_only_for_cokernels(catalog,
+                                                          monkeypatch):
+    """Kernels come from a column Hermite elimination, so every Smith form
+    a report takes presents a cokernel (the boundary torsion or a
+    discriminant form), for each worked example."""
+    smith = g2tcs.exact.smith_normal_form
+    present = g2tcs.lattices.cokernel_presentation
+    depth, calls = [0], []
+
+    def counted(A):
+        calls.append(depth[0])
+        return smith(A)
+
+    def presenting(A):
+        depth[0] += 1
+        try:
+            return present(A)
+        finally:
+            depth[0] -= 1
+    for module in (g2tcs.exact, g2tcs.lattices, g2tcs.configuration,
+                   g2tcs.invariants):
+        for name, fn in (("smith_normal_form", counted),
+                         ("cokernel_presentation", presenting)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+    total = 0
+    for name, (plus, minus, theta, rows, _expected) in EXAMPLES.items():
+        calls.clear()
+        full_report(make_configuration(catalog.get(plus), catalog.get(minus),
+                                       theta, [list(r) for r in rows]))
+        assert all(calls), name
+        total += len(calls)
+    assert total
 
 
 def test_full_report_reuses_the_validation(catalog, monkeypatch):

@@ -1,8 +1,13 @@
+from collections import Counter
+
 import pytest
 
+from g2tcs import configuration, search
+from g2tcs.configuration import COS_SQUARED, rank1_pushout
 from g2tcs.fixtures import TABLE4
-from g2tcs.search import (cross_term_search, rank1_candidate_count,
-                          rank1_pi4_search, rank1_pi6_search)
+from g2tcs.search import (cross_term_search, rank1_candidate,
+                          rank1_candidate_count, rank1_pi4_search,
+                          rank1_pi6_search)
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +70,65 @@ def test_sixth_search_matches(pi6_matches):
 def test_searches_are_deterministic(catalog, pi4_matches, pi6_matches):
     assert rank1_pi4_search(catalog) == pi4_matches
     assert rank1_pi6_search(catalog) == pi6_matches
+
+
+def test_quarter_scan_decides_once(catalog, monkeypatch):
+    """The scan parses theta once and decides each pair of kinds once;
+    only its 25 matches build a Gluing and a report."""
+    calls = Counter()
+    kinds = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            if name == "GluingAngle":
+                kinds[args[:2]] += 1
+            return fn(*args, **kwargs)
+        return counted
+    for module in (configuration, search):
+        monkeypatch.setattr(module, "parse_theta",
+                            counting("parse_theta", module.parse_theta))
+    for name in ("GluingAngle", "Gluing", "full_report"):
+        monkeypatch.setattr(search, name,
+                            counting(name, getattr(search, name)))
+    assert len(rank1_pi4_search(catalog)) == 25
+    assert calls["parse_theta"] == 1
+    assert kinds and max(kinds.values()) == 1
+    assert calls["Gluing"] == calls["full_report"] == 25
+
+
+def test_rank1_scan_candidate_and_pushout_agree(catalog):
+    """Every ordered rank-1 pair at the seven angles, both orientations:
+    the scan's match, ``rank1_candidate`` and ``rank1_pushout`` give the
+    same pushout and (m, q+, q-), and the scan covers its scanned pairs."""
+    rank1 = [b for b in catalog.blocks if b.rank == 1]
+    for theta in COS_SQUARED:
+        for sign in ("", "-"):
+            text = f"{sign}{theta.numerator}/{theta.denominator}pi"
+            scan = {(m.plus_id, m.minus_id): m
+                    for m in search._rank1_search(catalog, text)}
+            scanned = {(p.id, m.id) for p, m, _angle
+                       in search._rank1_pairs(catalog, theta)}
+            assert set(scan) <= scanned
+            for plus in rank1:
+                for minus in rank1:
+                    pair = (plus.id, minus.id)
+                    push = rank1_pushout(plus.N.gram[0][0],
+                                         minus.N.gram[0][0], text)
+                    try:
+                        cand = rank1_candidate(plus, minus, text)
+                    except ValueError:  # no flags, or pi1 not trivial
+                        assert pair not in scanned, (pair, text)
+                        continue
+                    if pair in scanned:
+                        assert scan.get(pair) == cand, (pair, text)
+                    if push is None:
+                        assert cand is None, (pair, text)
+                        continue
+                    decomposition = (None if push.m is None
+                                     else (push.m, push.q_plus, push.q_minus))
+                    assert (cand.pushout, cand.rank1_decomposition) == \
+                        (push.gram, decomposition), (pair, text)
 
 
 # --------------------------------------------------------------- cross term

@@ -104,6 +104,28 @@ def test_every_traced_name_resolves():
                 assert callable(getattr(module, name)), name
 
 
+def test_every_benchmark_library_name_resolves():
+    """Each attribute that ``perfbench/workloads.py`` and
+    ``perfbench/cli_check.py`` read off a module imported ``from g2tcs``
+    (``fixtures.table5_pushout``, ``search._canonical_gram``, ...)
+    exists, so a refactor that renames one fails here and not first in a
+    benchmark run."""
+    read = set()
+    for name in ("workloads.py", "cli_check.py"):
+        tree = ast.parse((PERFBENCH / name).read_text())
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "g2tcs" for alias in node.names}
+        read |= {(n.value.id, n.attr) for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id in modules}
+    assert ("fixtures", "table5_pushout") in read
+    assert ("search", "_canonical_gram") in read
+    for module, attr in sorted(read):
+        assert hasattr(importlib.import_module(f"g2tcs.{module}"), attr), \
+            f"{module}.{attr}"
+
+
 _STARTUP_CODE = """
 import json, sys
 before = set(sys.modules)

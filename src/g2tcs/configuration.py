@@ -36,16 +36,23 @@ from .exact import (IntMatrix, RationalMatrix, adjugate, clear_denominators,
                     integer_roots, sturm_count_roots, transpose)
 from .lattices import GramLattice, signature
 
-# cos^2(q*pi) for the seven admissible angle fractions q.
-COS_SQUARED = {
-    Fraction(1, 6): Fraction(3, 4),
-    Fraction(1, 4): Fraction(1, 2),
-    Fraction(1, 3): Fraction(1, 4),
-    Fraction(1, 2): Fraction(0),
-    Fraction(2, 3): Fraction(1, 4),
-    Fraction(3, 4): Fraction(1, 2),
-    Fraction(5, 6): Fraction(3, 4),
+# The seven admissible angles theta = p/q pi, by (p, q): cos^2(theta)
+# and the integers a report reads off theta, namely the torsion family
+# (4 for cos^2 = 1/2, 6 for cos^2 = 3/4, 0 where the torsion of H^4 is
+# not computed) and, for rho = 1 - 2 theta in units of pi, nu_bar's base
+# -72 rho, the sign of rho and the cut-off cos(pi - |rho| pi) = a / b.
+#        (cos^2,        family, base, sign, a, b)
+ANGLES = {
+    (1, 6): (Fraction(3, 4), 6, -48, 1, 1, 2),
+    (1, 4): (Fraction(1, 2), 4, -36, 1, 0, 1),
+    (1, 3): (Fraction(1, 4), 0, -24, 1, -1, 2),
+    (1, 2): (Fraction(0), 0, 0, 0, -1, 1),
+    (2, 3): (Fraction(1, 4), 0, 24, -1, -1, 2),
+    (3, 4): (Fraction(1, 2), 4, 36, -1, 0, 1),
+    (5, 6): (Fraction(3, 4), 6, 48, -1, 1, 2),
 }
+# cos^2(q*pi) for the seven admissible angle fractions q.
+COS_SQUARED = {Fraction(*key): row[0] for key, row in ANGLES.items()}
 
 
 class ConfigurationError(ValueError):
@@ -77,7 +84,7 @@ def parse_theta(text) -> Tuple[Fraction, int]:
     if denominator == 0:
         raise ConfigurationError(f"angle {text!r} has a zero denominator")
     theta = Fraction(int(m.group(1) or 1), denominator)
-    if theta not in COS_SQUARED:
+    if (theta.numerator, theta.denominator) not in ANGLES:
         raise ConfigurationError(f"angle {text!r} is not one of the seven "
                                  f"admissible fractions of pi")
     return theta, orientation
@@ -86,17 +93,18 @@ def parse_theta(text) -> Tuple[Fraction, int]:
 INVOLUTION, ORDINARY = "involution", "ordinary"
 SIMPLY_CONNECTED = "simply_connected"
 
-# The gluings at theta and at 1 - theta (fractions of pi), in order of
-# preference: the side roles, the torus flags (b+, b-) and the pi1 class.
+# The gluings at theta and at 1 - theta (fractions of pi), by (p, q) for
+# the smaller angle p/q pi, in order of preference: the side roles, the
+# torus flags (b+, b-) and the pi1 class.
 # A side in its involution role needs an involution block; any block can
 # take the ordinary role. A quarter-turn twists only the plus side, so the
 # minus block takes its ordinary role even when it carries an involution.
 _GLUINGS = {
-    Fraction(1, 6): [((INVOLUTION, INVOLUTION), (1, 0), SIMPLY_CONNECTED)],
-    Fraction(1, 4): [((INVOLUTION, ORDINARY), (1, 0), SIMPLY_CONNECTED)],
-    Fraction(1, 3): [((INVOLUTION, INVOLUTION), (1, 1), SIMPLY_CONNECTED)],
-    Fraction(1, 2): [((INVOLUTION, INVOLUTION), (1, 1), "pi1_Z2"),
-                     ((ORDINARY, ORDINARY), (0, 0), SIMPLY_CONNECTED)],
+    (1, 6): [((INVOLUTION, INVOLUTION), (1, 0), SIMPLY_CONNECTED)],
+    (1, 4): [((INVOLUTION, ORDINARY), (1, 0), SIMPLY_CONNECTED)],
+    (1, 3): [((INVOLUTION, INVOLUTION), (1, 1), SIMPLY_CONNECTED)],
+    (1, 2): [((INVOLUTION, INVOLUTION), (1, 1), "pi1_Z2"),
+             ((ORDINARY, ORDINARY), (0, 0), SIMPLY_CONNECTED)],
 }
 
 
@@ -109,6 +117,8 @@ class _AngleFields(NamedTuple):
     b_plus: int
     b_minus: int
     pi1: str
+    cos_squared: Fraction
+    torsion: int
 
 
 class GluingAngle(_AngleFields):
@@ -119,29 +129,34 @@ class GluingAngle(_AngleFields):
     theta the constructor takes the first gluing of ``_GLUINGS`` whose
     involution roles the kinds fill: the side ``roles``, the torus flags
     ``b_plus``/``b_minus`` and the ``pi1`` class. If none fits it raises
-    ConfigurationError, so no angle with inconsistent flags exists. The
-    record is a tuple of all eight fields, equal by fields and read-only.
+    ConfigurationError, so no angle with inconsistent flags exists. It
+    also keeps theta's ``cos_squared`` and ``torsion`` family from
+    ``ANGLES``. The record is a tuple of all ten fields, equal by fields
+    and read-only.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind_plus: str, kind_minus: str, theta: Fraction,
                 orientation: int = 1):
-        if theta not in COS_SQUARED:
+        p, q = ((theta.numerator, theta.denominator)
+                if isinstance(theta, Fraction) else (0, 0))
+        if (p, q) not in ANGLES:
             raise ConfigurationError(f"inadmissible theta {theta}*pi")
-        for roles, flags, pi1 in _GLUINGS[min(theta, 1 - theta)]:
+        for roles, flags, pi1 in _GLUINGS[min(p, q - p), q]:
             if all(role == ORDINARY or kind == INVOLUTION
                    for role, kind in zip(roles, (kind_plus, kind_minus))):
                 break
         else:
-            family = "square" if theta.denominator % 3 else "hexagonal"
+            family = "square" if q % 3 else "hexagonal"
             raise ConfigurationError(
                 f"blocks ({kind_plus}, {kind_minus}) admit no "
                 f"torus flags for the {family} family")
         if type(orientation) is not int or abs(orientation) != 1:
             raise ConfigurationError("orientation must be +1 or -1")
         return super().__new__(cls, kind_plus, kind_minus, theta,
-                               orientation, roles, *flags, pi1)
+                               orientation, roles, *flags, pi1,
+                               *ANGLES[p, q][:2])
 
     def __getnewargs__(self):  # copy and pickle rebuild from the inputs
         return self[:4]
@@ -151,10 +166,6 @@ class GluingAngle(_AngleFields):
         if self.pi1 != SIMPLY_CONNECTED:
             raise ValueError(f"invariant pipeline covers simply connected "
                              f"gluings; got {self.pi1}")
-
-    @property
-    def cos_squared(self) -> Fraction:
-        return COS_SQUARED[self.theta]
 
     @property
     def epsilon(self) -> int:
@@ -482,7 +493,7 @@ def d_theta(cfg: Configuration) -> int:
     orthogonal to all of N- (the kernel of C^T) plus the number of N-
     directions orthogonal to all of N+ (the kernel of C).
     """
-    if cfg.angle.cos_squared == 0:
+    if cfg.angle.cos_squared.numerator == 0:
         C = cfg.cross
         return len(integer_kernel(transpose(C))) + len(integer_kernel(C))
     return len(_cos_squared_space(cfg, 0, cfg.angle.cos_squared))
@@ -621,8 +632,9 @@ def rank1_pushout(n_plus: int, n_minus: int,
     n- = m q-^2 with coprime q± is returned as well.
     """
     theta = parse_theta(theta)[0]
-    return rank1_pushout_at(n_plus, n_minus, COS_SQUARED[theta],
-                            1 if theta < Fraction(1, 2) else -1)
+    p, q = theta.numerator, theta.denominator
+    return rank1_pushout_at(n_plus, n_minus, ANGLES[p, q][0],
+                            1 if 2 * p < q else -1)
 
 
 def rank1_pushout_at(n_plus: int, n_minus: int, cos_squared: Fraction,
@@ -702,7 +714,7 @@ def feasibility_cone_check(cfg: Configuration):
     eigenspace basis, solved in integers by ``_strict_solution``. Returns
     (True, an integer witness in N+ coordinates) or (False, None).
     """
-    if cfg.angle.cos_squared == 0:
+    if cfg.angle.cos_squared.numerator == 0:
         # Orthogonal gluing: the two ample cones impose no joint
         # condition; any ample class works on each side.
         return True, [1] * cfg.rho_plus

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .configuration import (
-    ANGLE_PI,
+    ANGLES,
     AngleSpectrum,
     Configuration,
     configuration_angles,
@@ -36,24 +36,19 @@ from .lattices import (
     saturated_sum,
 )
 
-TORSION_ANGLES = (Fraction(1, 2), Fraction(3, 4))  # cos^2 of pi/4, pi/6
-# cos(|rho| pi) for rho = 1 - 2 theta (in units of pi) in nu_bar.
-COS_RHO = {Fraction(1, 2): Fraction(0), Fraction(1, 3): Fraction(1, 2),
-           Fraction(2, 3): Fraction(-1, 2)}
-
 
 class UnsupportedAngle(ValueError):
     """Raised when torsion computation is requested for an angle outside
     the implemented pi/4 and pi/6 families."""
 
 
-def _require_torsion_angle(cfg: Configuration) -> Fraction:
-    c2 = cfg.angle.cos_squared
-    if c2 not in TORSION_ANGLES:
+def _require_torsion_angle(cfg: Configuration) -> int:
+    """The torsion family of the angle: 4 (pi/4) or 6 (pi/6)."""
+    if not cfg.angle.torsion:
         raise UnsupportedAngle(
             f"torsion computation supports only angles with cos^2 in "
             f"{{1/2, 3/4}}; got theta = {cfg.angle.describe()}")
-    return c2
+    return cfg.angle.torsion
 
 
 # ----------------------------------------------------------------- betti
@@ -101,12 +96,12 @@ def boundary_data(cfg: Configuration) -> BoundaryData:
     (c2bar+/2, -c2bar-/2). The gluing decision (``GluingAngle``) has put
     involution blocks on those sides.
     """
-    c2 = _require_torsion_angle(cfg)
+    quarter = _require_torsion_angle(cfg) == 4
     rp, rm = cfg.rho_plus, cfg.rho_minus
     Gp, Gm = cfg.plus.N.gram, cfg.minus.N.gram
     C = cfg.cross
     Bp = even_dual_kernel(cfg.plus.N)  # rows: domain basis in N+ coords
-    if c2 == Fraction(1, 2):
+    if quarter:
         minus_rows = [[int(i == j) for j in range(rm)] for i in range(rm)]
         p_minus = [-v for v in cfg.minus.c2bar]
     else:
@@ -122,7 +117,7 @@ def boundary_data(cfg: Configuration) -> BoundaryData:
     # Rows x^T G+ = (G+ x)^T, x^T C = (C^T x)^T, and so on.
     cols = [halved(top) + bottom for top, bottom
             in zip(int_matmul(Bp, Gp), int_matmul(Bp, C))]
-    cols += [top + (bottom if c2 == Fraction(1, 2) else halved(bottom, 3))
+    cols += [top + (bottom if quarter else halved(bottom, 3))
              for top, bottom in zip(int_matmul(minus_rows, transpose(C)),
                                     int_matmul(minus_rows, Gm))]
     embed = ([list(x) + [0] * rm for x in Bp]
@@ -184,7 +179,7 @@ def pure_angle_torsion(cfg: Configuration) -> PureTorsion:
     of pi- N+ intersect N- (pi/4) or (2/3) pi- N+ intersect N- (pi/6),
     where p(M) evaluates through the block c2bar classes.
     """
-    c2 = _require_torsion_angle(cfg)
+    quarter = _require_torsion_angle(cfg) == 4
     if not is_pure_angle(cfg):
         raise ValueError("pure-angle shortcut requires a pure angle")
     rp, rm = cfg.rho_plus, cfg.rho_minus
@@ -198,7 +193,7 @@ def pure_angle_torsion(cfg: Configuration) -> PureTorsion:
     quotient = quotient_by_2torsion(delta)
     # Free part: (q pi- N+) meet N-, q = 1 (pi/4) or 2/3 (pi/6), with
     # pi- = BCt / det G-, scaled into Z^rm by den(q) |det G-|.
-    num, den = (1, 1) if c2 == Fraction(1, 2) else (2, 3)
+    num, den = (1, 1) if quarter else (2, 3)
     scale = den * abs(det_minus)
     images = [[num * row[i] for row in pencil.BCt] for i in range(rp)]
     scaled_identity = [[scale * int(i == j) for j in range(rm)]
@@ -207,7 +202,7 @@ def pure_angle_torsion(cfg: Configuration) -> PureTorsion:
     basis = [[x // scale for x in row] for row in inter]
     # p(M) on pi+ f + f is c2bar+ . AC f / det G+ + c2bar- . f / half
     # with half = 1 (pi/4) or 2 (pi/6).
-    half = 1 if c2 == Fraction(1, 2) else 2
+    half = 1 if quarter else 2
     weights = int_matmul([list(cfg.plus.c2bar)], pencil.AC)[0]
     p_values = []
     for f in basis:
@@ -239,16 +234,17 @@ def p_divisor(cfg: Configuration) -> Tuple[int, int, bool]:
     coords = pres.snf_coordinates(list(bd.p_class))
     free_vals = [coords[i] for i in pres.free_indices]
     d_free = gcd(24, *(abs(v) for v in free_vals)) if free_vals else 24
-
-    def divisible_by(m: int) -> bool:
-        for i in pres.torsion_indices:
-            if coords[i] % gcd(m, pres.diagonal(i)) != 0:
-                return False
-        return all(v % m == 0 for v in free_vals)
-
-    d_full = max(m for m in range(1, 25) if 24 % m == 0
-                 and divisible_by(m))
+    d_full = _full_divisor(d_free, [(coords[i], pres.diagonal(i))
+                                    for i in pres.torsion_indices])
     return d_free, d_full, d_free == d_full
+
+
+def _full_divisor(d_free: int, torsion: Sequence[Tuple[int, int]]) -> int:
+    """The greatest divisor m of d_free with gcd(m, d_i) dividing c_i for
+    each torsion coordinate c_i of order d_i: a divisor of 24 divides
+    every free value of p(M) exactly when it divides d_free."""
+    return next(m for m in range(d_free, 0, -1) if d_free % m == 0
+                and all(c % gcd(m, d) == 0 for c, d in torsion))
 
 
 # ----------------------------------------------------------------- nu_bar
@@ -258,42 +254,43 @@ def nu_bar(angles: AngleSpectrum, theta: Fraction,
     """The integer refinement of the nu invariant from the angle data.
 
     With rho = pi - 2 theta, counts the minus-type configuration angles
-    on the boundary and interior of (pi - |rho|, pi]; interval
-    membership is decided by exact cosine comparison. The result
+    on the boundary and interior of (pi - |rho|, pi]: a cosine a/b is
+    compared with theta's cut-off cos(pi - |rho|) = c/d in ``ANGLES`` by
+    the sign of the integer a d - c b. theta is an int or Fraction of pi
+    (negative for the reversed orientation); an inexact theta, or one
+    outside the seven admissible angles, raises ValueError. The result
     changes sign with the orientation flag.
     """
-    theta = abs(Fraction(theta))
-    rho = 1 - 2 * theta  # as a fraction of pi
-    if rho == 0:
-        return 0
-    base = -72 * rho
-    if base.denominator != 1:
+    if not isinstance(theta, (int, Fraction)):
+        raise ValueError(f"theta {theta!r} is not an exact fraction of pi")
+    row = ANGLES.get((abs(theta.numerator), theta.denominator))
+    if row is None:
         raise ValueError(f"unsupported theta {theta}*pi")
-    sign_rho = 1 if rho > 0 else -1
-    # cos(pi - |rho|) = -cos(|rho| * pi), rational for all our angles.
-    cstar = -COS_RHO[abs(rho)]
+    base, sign_rho, cut_num, cut_den = row[2:]
     boundary = 0
     interior = 0
     for cos_a, s in angles.alpha_minus:
-        if s == -1:
-            continue  # each +- pair is counted once, at its + member
-        if (cos_a, s) == ANGLE_PI:
-            boundary += 1
-        elif s == 1:
-            if cos_a == cstar:
+        num, den = cos_a.numerator, cos_a.denominator
+        if s == 1:  # each +- pair is counted once, at its + member
+            side = num * cut_den - cut_num * den
+            if side == 0:
                 boundary += 1
-            elif -1 < cos_a < cstar:
+            elif side < 0 and -den < num:
                 interior += 1
-    value = int(base) + 3 * sign_rho * (boundary - 1 + 2 * interior)
+        elif s == 0 and num == -den:  # the angle pi
+            boundary += 1
+    value = base + 3 * sign_rho * (boundary - 1 + 2 * interior)
     return orientation * value
 
 
 # -------------------------------------------------------- linking compare
 
 def _checked_form(factors: Tuple[int, ...], b, name: str):
-    """``b`` as a symmetric k x k matrix of Fractions in [0, 1).
+    """``b`` mod 1 as a symmetric k x k matrix of integer numerators.
 
-    Entry (i, j) must be an int or a Fraction in (1/gcd(d_i, d_j))Z.
+    Entry (i, j) must be an int or a Fraction in (1/g)Z for
+    g = gcd(d_i, d_j); it is returned as the numerator in [0, g) of its
+    class mod 1 over g.
     """
     k = len(factors)
     try:
@@ -308,10 +305,11 @@ def _checked_form(factors: Tuple[int, ...], b, name: str):
                 raise ValueError(f"{name}[{i}][{j}] = {x!r} is not an "
                                  f"int or a Fraction")
             g = gcd(factors[i], factors[j])
-            if (x * g).denominator != 1:
+            num, den = x.numerator, x.denominator
+            if g % den:
                 raise ValueError(f"{name}[{i}][{j}] = {x} is not in "
                                  f"(1/{g})Z")
-            row[j] = Fraction(x) % 1
+            row[j] = num * (g // den) % g
     for i in range(k):
         for j in range(i):
             if rows[i][j] != rows[j][i]:
@@ -348,7 +346,8 @@ def _p_part(p: int, factors: Sequence[int], form) -> Tuple[List[int], list]:
 
     The generators are m_i g_i with m_i = d_i / p^e_i, of order p^e_i;
     entry (i, j) of the Gram is N * m_i m_j b(g_i, g_j) mod N for
-    N = p^(max e_i), an integer.
+    N = p^(max e_i), an integer: ``form`` holds the numerators a of
+    b(g_i, g_j) = a / g, and g = gcd(d_i, d_j) divides N m_i m_j.
     """
     gens = []
     for i, d in enumerate(factors):
@@ -356,7 +355,7 @@ def _p_part(p: int, factors: Sequence[int], form) -> Tuple[List[int], list]:
         if e:
             gens.append((i, e, d // p ** e))
     n = p ** max(e for _, e, _ in gens)
-    gram = [[(form[i][j] * (n * mi * mj)).numerator % n
+    gram = [[form[i][j] * (n * mi * mj // gcd(factors[i], factors[j])) % n
              for j, _, mj in gens] for i, _, mi in gens]
     return [e for _, e, _ in gens], gram
 
@@ -555,7 +554,8 @@ def linking_forms_equivalent(factors: Sequence[int],
 
 
 def _negate_pairing(b: Sequence[Sequence[Fraction]]):
-    return tuple(tuple((-x) % 1 for x in row) for row in b)
+    return tuple(tuple(Fraction(-x.numerator % x.denominator, x.denominator)
+                       for x in row) for row in b)
 
 
 # ------------------------------------------------------------ full report
@@ -595,7 +595,7 @@ def full_report(cfg: Configuration) -> InvariantReport:
     angles = configuration_angles(cfg)
     nb = nu_bar(angles, cfg.angle.theta, cfg.angle.orientation)
     pure = is_pure_angle(cfg)
-    supported = cfg.angle.cos_squared in TORSION_ANGLES
+    supported = cfg.angle.torsion != 0
     torsion = linking = d_free = d_full = clean = None
     if supported:
         tr = torsion_report(cfg)
@@ -674,11 +674,13 @@ def compare_2connected(r1: InvariantReport,
         detail = "p(M) divisibility differs"
     else:
         detail = None
-    # The same gates decide the match with r2's orientation reversed.
+    # The same gates decide the match with r2's orientation reversed; the
+    # direct comparison checks r2's form before it is negated.
+    matched = detail is None and linking_forms_equivalent(
+        factors, r1.linking, r2.linking)
     reversal = detail is None and linking_forms_equivalent(
         factors, r1.linking, _negate_pairing(r2.linking))
-    if detail is None and not linking_forms_equivalent(
-            factors, r1.linking, r2.linking):
+    if detail is None and not matched:
         detail = "no group automorphism matches the linking forms"
     if detail is not None:
         return Comparison("distinct", (), reversal, detail)

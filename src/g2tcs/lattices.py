@@ -13,7 +13,8 @@ the finite abelian groups they induce:
 * Structure operations used by the gluing pipeline: the lattice generated
   by rational vectors and the even "half-dual" kernel sublattice.
 
-All computations are exact (integers and ``Fraction``).
+All computations are exact and run in integers; rational input is cleared
+to integers, and a ``Fraction`` is built only for a returned pairing entry.
 """
 
 from __future__ import annotations
@@ -145,16 +146,17 @@ class CokernelPresentation(NamedTuple):
         Entry (i, j) is z_j . E^T Q e_i / d_i mod 1: the preimage Q e_i of
         d_i z_i, carried to Z^m by the n×m matrix E (rows: images of the
         domain generators; the identity when omitted, which needs m = n),
-        paired against z_j and divided by d_i.
+        paired against z_j and divided by d_i; the integer pairing is
+        reduced mod d_i before the entry is built.
         """
         gens = self.generator_vectors()
         preimages = [[row[i] for row in self.Q] for i in self.torsion_indices]
         if embedding is not None:
             preimages = int_matmul(preimages, embedding)
         return tuple(
-            tuple(Fraction(sum(a * b for a, b in zip(z, v)), self.D[i][i]) % 1
+            tuple(Fraction(sum(a * b for a, b in zip(z, v)) % d, d)
                   for z in gens)
-            for i, v in zip(self.torsion_indices, preimages))
+            for d, v in zip(self.group.invariant_factors, preimages))
 
 
 def _identity(n: int) -> IntMatrix:
@@ -219,9 +221,10 @@ def quotient_by_2torsion(D: DiscriminantForm) -> DiscriminantForm:
         if new_d >= 2:
             orders.append(new_d)
             keep.append(i)
+    kept = [[D.pairing[i][j] for j in keep] for i in keep]
     pairing = tuple(
-        tuple((2 * D.pairing[i][j]) % 1 for j in keep) for i in keep
-    )
+        tuple(Fraction(2 * x.numerator % x.denominator, x.denominator)
+              for x in row) for row in kept)
     return DiscriminantForm(FiniteAbelianGroup(tuple(orders), 0), pairing)
 
 

@@ -5,7 +5,7 @@ the side compositions pi± pi∓ with their Faddeev–LeVerrier charpoly, its
 rational roots, the Sturm chain and its check of [0, 1], eigenspaces as
 nullspaces, the Fourier–Motzkin feasibility solve with midpoints, the glue
 pushout, and the Fraction versions of the boundary matrix, the pure-angle
-torsion, the discriminant pairing and the signature. ``routes_agree``
+torsion, the discriminant pairing, the signature and nu_bar. ``routes_agree``
 compares each of them with what the package computes, value for value or
 exception type for exception type.
 """
@@ -268,6 +268,39 @@ def angles(cfg) -> AngleSpectrum:
     if len(alpha_plus) != 3 or len(alpha_minus) != 19:
         raise ArithmeticError("angle spectrum has wrong size")
     return AngleSpectrum(tuple(alpha_plus), tuple(alpha_minus))
+
+
+# cos(|rho| pi) for rho = 1 - 2 theta (in units of pi) in nu_bar.
+COS_RHO = {F(1, 2): F(0), F(1, 3): F(1, 2), F(2, 3): F(-1, 2)}
+
+
+def nu_bar(angles: AngleSpectrum, theta, orientation: int = 1) -> int:
+    """nu_bar by Fraction comparisons: with rho = pi - 2 theta, the
+    minus-type angles on the boundary and interior of (pi - |rho|, pi]."""
+    theta = abs(F(theta))
+    rho = 1 - 2 * theta  # as a fraction of pi
+    if rho == 0:
+        return 0
+    base = -72 * rho
+    if base.denominator != 1:
+        raise ValueError(f"unsupported theta {theta}*pi")
+    sign_rho = 1 if rho > 0 else -1
+    # cos(pi - |rho|) = -cos(|rho| * pi), rational for all our angles.
+    cstar = -COS_RHO[abs(rho)]
+    boundary = 0
+    interior = 0
+    for cos_a, s in angles.alpha_minus:
+        if s == -1:
+            continue  # each +- pair is counted once, at its + member
+        if (cos_a, s) == ANGLE_PI:
+            boundary += 1
+        elif s == 1:
+            if cos_a == cstar:
+                boundary += 1
+            elif -1 < cos_a < cstar:
+                interior += 1
+    value = int(base) + 3 * sign_rho * (boundary - 1 + 2 * interior)
+    return orientation * value
 
 
 def rational_d_theta(cfg) -> int:

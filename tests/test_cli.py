@@ -110,6 +110,31 @@ def test_match_rank1_json_bytes(runner, plus, minus, theta, digest):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
+# sha256 of ``match --format json`` at the four angles that no other pin
+# covers, recorded while nu_bar still compared its cut-off cosines
+# (-1/2, -1/2, 0, +1/2) as Fractions; each pair has one match.
+ANGLE_MATCH_DIGESTS = [
+    ("3.21", "3.22_2", "1/3pi",
+     "f9f3d19221d628184f53bf26241525af8608ab3e2b6ad197ab3931ad450220fc"),
+    ("3.22_2", "3.21", "2/3pi",
+     "52835c7dbec7eb557cfd479f8f992b035f0d377aa67aded3e59a8fceaf58842c"),
+    ("3.21", "3.8_1_18", "3/4pi",
+     "840eb40fcc1a8c23696d00e3459228d9efd6e389a016b4b941bc09626b640ee6"),
+    ("3.22_3", "5.15_1", "5/6pi",
+     "5e41da36e9a5cabcb00e9f19077675bc2d3e28978dbfbb544cab782520e5925b"),
+]
+
+
+@pytest.mark.parametrize("plus,minus,theta,digest", ANGLE_MATCH_DIGESTS)
+def test_match_json_bytes_at_unpinned_angles(runner, plus, minus, theta,
+                                             digest):
+    result = invoke(runner, "match", "--plus", plus, "--minus", minus,
+                    "--theta", theta, "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.output)
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
 # sha256 of ``match --bound b --format json`` without --pure, recorded
 # while the general screen still took one determinant per block.
 GENERAL_MATCH_DIGESTS = [

@@ -138,8 +138,9 @@ def test_gluing_angle_refuses_a_bad_orientation(orientation):
 
 
 def test_gluing_angle_refuses_an_inadmissible_theta():
-    with pytest.raises(ConfigurationError, match="inadmissible theta"):
-        GluingAngle(INV, INV, F(1, 5))
+    for theta in (F(1, 5), F(3, 2), 0.25, 1, "1/4"):
+        with pytest.raises(ConfigurationError, match="inadmissible theta"):
+            GluingAngle(INV, INV, theta)
 
 
 def test_make_configuration_takes_the_decision_of_the_block_kinds(catalog):

@@ -1,17 +1,25 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
+import fraction_route
 import g2tcs.configuration
 import g2tcs.exact
 import g2tcs.invariants
 import g2tcs.lattices
-from g2tcs.configuration import make_configuration, validate_configuration
+from g2tcs.configuration import (ANGLE_PI, ANGLE_ZERO, COS_SQUARED,
+                                 AngleSpectrum, Configuration, Gluing,
+                                 GluingAngle, configuration_angles,
+                                 make_configuration, rank1_pushout,
+                                 validate_configuration)
 from g2tcs.fixtures import EXAMPLES
-from g2tcs.invariants import (UnsupportedAngle, betti, compare_2connected,
-                              full_report, linking_forms_equivalent,
-                              nu_bar, p_divisor, pure_angle_torsion,
-                              torsion_report)
+from g2tcs.invariants import (UnsupportedAngle, _full_divisor, betti,
+                              compare_2connected, full_report,
+                              linking_forms_equivalent, nu_bar, p_divisor,
+                              pure_angle_torsion, torsion_report)
 
 
 # ------------------------------------------------------------- full report
@@ -99,6 +107,108 @@ def test_orientation_reversal_flips_nu_bar(example_configs):
     spec_angles = full_report(cfg).angles
     assert nu_bar(spec_angles, cfg.angle.theta, 1) == -36
     assert nu_bar(spec_angles, cfg.angle.theta, -1) == 36
+
+
+def _random_spectrum(rng):
+    """A spectrum of 19 minus-type entries: angles 0 and pi, and +- pairs
+    whose cosines include the ends -1 and 1, the cut-offs -1/2, 0 and 1/2,
+    and other fractions."""
+    minus = []
+    while len(minus) < 19:
+        if len(minus) == 18 or rng.random() < 0.3:
+            minus.append(rng.choice([ANGLE_PI, ANGLE_ZERO]))
+        else:
+            den = rng.choice([1, 2, 2, 3, 4, 6, rng.randint(1, 50)])
+            cos_a = F(rng.randint(-den, den), den)
+            minus += [(cos_a, 1), (cos_a, -1)]
+    return AngleSpectrum((ANGLE_ZERO,) * 3, tuple(minus))
+
+
+def test_nu_bar_matches_the_fraction_route(dataset_configs):
+    """The integer counts equal the Fraction comparisons on the spectrum
+    of every dataset row and on seeded random spectra, at the seven
+    angles (also negated) and both orientations."""
+    spectra = [configuration_angles(cfg) for cfg in dataset_configs]
+    rng = random.Random(45)
+    spectra += [_random_spectrum(rng) for _ in range(300)]
+    for spectrum in spectra:
+        for theta in COS_SQUARED:
+            for t in (theta, -theta):
+                for orientation in (1, -1):
+                    assert nu_bar(spectrum, t, orientation) == \
+                        fraction_route.nu_bar(spectrum, t, orientation), \
+                        (spectrum, t, orientation)
+
+
+@pytest.mark.parametrize("theta", [F(1, 8), 0, 1, F(0), F(1), F(3, 2),
+                                   F(-3, 2), F(5, 4), 0.25, -0.25, 0.5])
+def test_nu_bar_refuses_an_unsupported_theta(example_reports, theta):
+    report, _ = example_reports["8.12"]
+    with pytest.raises(ValueError, match="theta"):
+        nu_bar(report.angles, theta)
+
+
+def test_full_report_builds_fractions_only_for_reported_values(
+        catalog, monkeypatch):
+    """One report of the rank-1 pair 3.21 x 3.8_1_18 at 1/4pi builds four
+    Fractions: its one cosine and one linking entry, and the two pairings
+    of the pure-angle route that cross-check that entry. It compares and
+    hashes none, and nu_bar touches none. Before the per-angle integers
+    the report made 24 ``__new__``, 37 ``__eq__`` and 8 ``__hash__``
+    calls, 7, 21 and 1 of them in nu_bar."""
+    plus, minus = catalog.get("3.21"), catalog.get("3.8_1_18")
+    push = rank1_pushout(plus.N.gram[0][0], minus.N.gram[0][0], "1/4pi")
+    cfg = Configuration(Gluing(plus, minus, GluingAngle(
+        plus.kind, minus.kind, F(1, 4))), ((push.gram[0][1],),))
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+    for name in ("__new__", "__eq__", "__hash__"):
+        fn = counting(name, getattr(F, name))
+        monkeypatch.setattr(F, name,
+                            staticmethod(fn) if name == "__new__" else fn)
+    report = full_report(cfg)
+    assert calls == Counter({"__new__": 4})
+    calls.clear()
+    nu_bar(report.angles, report.theta, report.orientation)
+    assert not calls
+    monkeypatch.undo()
+    assert (report.b3, report.torsion.invariant_factors, report.linking,
+            report.nu_bar) == (64, (2,), ((F(1, 2),),), -39)
+
+
+# ------------------------------------------------------------- p divisor
+
+def _d_full_by_divisors_of_24(free_values, torsion):
+    """d_full as the search over the eight divisors of 24 finds it."""
+    return max(m for m in range(1, 25) if 24 % m == 0
+               and all(c % gcd(m, d) == 0 for c, d in torsion)
+               and all(v % m == 0 for v in free_values))
+
+
+def test_full_divisor_matches_the_divisors_of_24(dataset_configs):
+    """d_full read off the divisors of d_free equals the search over the
+    divisors of 24, on every dataset row (each at pi/4 or pi/6) and on
+    random Smith coordinates."""
+    for cfg in dataset_configs:
+        bd, pres = g2tcs.invariants._boundary_cokernel(cfg)
+        coords = pres.snf_coordinates(list(bd.p_class))
+        torsion = [(coords[i], pres.diagonal(i)) for i in pres.torsion_indices]
+        free = [coords[i] for i in pres.free_indices]
+        assert p_divisor(cfg)[1] == _d_full_by_divisors_of_24(free, torsion)
+    rng = random.Random(24)
+    for _ in range(3000):
+        free = [rng.randint(-72, 72) for _ in range(rng.randint(0, 3))]
+        torsion = [(rng.randint(-50, 50),
+                    rng.choice([2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 48]))
+                   for _ in range(rng.randint(0, 3))]
+        d_free = gcd(24, *(abs(v) for v in free))
+        assert _full_divisor(d_free, torsion) == \
+            _d_full_by_divisors_of_24(free, torsion), (free, torsion)
 
 
 # ------------------------------------------------------- torsion dual route
@@ -215,3 +325,15 @@ def test_compare_rejects_non_2connected(example_reports):
     r1, _ = example_reports["8.1"]
     with pytest.raises(ValueError):
         compare_2connected(r14, r1)
+
+
+@pytest.mark.parametrize("linking", [(("1/2", 0), (0, "1/2")),
+                                     ((0.5, 0.0), (0.0, 0.5)),
+                                     ((F(1, 2),),), None])
+def test_compare_refuses_a_malformed_linking_form(example_reports, linking):
+    report, _ = example_reports["8.3"]
+    assert report.torsion.invariant_factors == (2, 2)
+    bad = report._replace(linking=linking)
+    for pair in ((report, bad), (bad, report)):
+        with pytest.raises(ValueError):
+            compare_2connected(*pair)

@@ -22,11 +22,8 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from g2tcs.fixtures import TABLE5, table5_pushout
-from g2tcs.configuration import make_configuration
 from g2tcs.invariants import (compare_2connected, full_report,
                               linking_forms_equivalent)
-from g2tcs.search import rank1_pi4_search
 
 
 # ------------------------------------------------------------- the oracle
@@ -324,21 +321,9 @@ def test_reversal_oracle_values():
     assert not reversal_by_number_theory((21,))
 
 
-def _dataset_reports(catalog, example_reports):
-    reports = [m.report for m in rank1_pi4_search(catalog)]
-    for row in TABLE5:
-        cfg = make_configuration(catalog.get(row[2]), catalog.get(row[3]),
-                                 row[1], [list(r) for r in
-                                          table5_pushout(row, catalog)])
-        reports.append(full_report(cfg))
-    reports += [r for r, _expected in example_reports.values()]
-    return reports
-
-
-def test_self_comparison_reversal_on_odd_dataset_torsion(catalog,
-                                                         example_reports):
+def test_self_comparison_reversal_on_odd_dataset_torsion(dataset_configs):
     seen = set()
-    for r in _dataset_reports(catalog, example_reports):
+    for r in map(full_report, dataset_configs):
         factors = r.torsion.invariant_factors if r.torsion else ()
         if r.b2 != 0 or not factors or r.torsion_order % 2 == 0:
             continue
@@ -379,3 +364,25 @@ def test_entries_are_read_mod_1():
     assert linking_forms_equivalent((3, 3), ((F(1, 3), F(1, 3)),
                                              (F(-2, 3), F(0))),
                                     ((F(1, 3), F(1, 3)), (F(1, 3), F(0))))
+    # int entries, negative Fractions and shifts by large integers, on an
+    # odd group and a 2-primary one; each form has an inequivalent partner
+    big = 10 ** 40
+    for factors, form, other in (
+            ((3, 9), ((F(1, 3), 0), (0, F(1, 9))),
+             ((F(2, 3), 0), (0, F(1, 9)))),
+            ((2, 8), ((F(1, 2), 0), (0, F(1, 8))),
+             ((F(1, 2), 0), (0, F(3, 8))))):
+        for shift in (-1, 5, big, -big, big + 1):
+            moved = tuple(tuple(x + shift * (i + j + 1) for j, x
+                                in enumerate(row))
+                          for i, row in enumerate(form))
+            assert all(isinstance(x, int) for x in (moved[0][1],
+                                                    moved[1][0]))
+            assert linking_forms_equivalent(factors, moved, form)
+            assert linking_forms_equivalent(factors, form, moved)
+            assert not linking_forms_equivalent(factors, moved, other)
+            assert not linking_forms_equivalent(factors, other, moved)
+        negated = tuple(tuple(x - 1 for x in row) for row in form)
+        assert all(x < 0 for row in negated for x in row)
+        assert linking_forms_equivalent(factors, negated, form)
+        assert not linking_forms_equivalent(factors, negated, other)
